@@ -58,22 +58,6 @@ def _violations_exit(vm) -> int:
     return 0
 
 
-def _build_vm(**kwargs):
-    """VM construction with option-mismatch faults mapped to usage errors.
-
-    Returns ``None`` after printing the complaint (e.g. ``--gc-workers``
-    with a collector that has no parallel mark phase); callers exit 2.
-    """
-    from repro.errors import RuntimeFault
-    from repro.runtime.vm import VirtualMachine
-
-    try:
-        return VirtualMachine(**kwargs)
-    except RuntimeFault as exc:
-        print(f"configuration error: {exc}")
-        return None
-
-
 def cmd_info(_args) -> int:
     import repro
     from repro.workloads.suite import build_suite
@@ -162,14 +146,11 @@ def cmd_stats(args) -> int:
     except KeyError:
         print(f"unknown workload {args.workload!r}; pick from {sorted(suite)}")
         return 2
-    vm = _build_vm(
+    vm = VirtualMachine(
         heap_bytes=args.heap or entry.heap_bytes,
         collector=args.collector,
-        gc_workers=args.gc_workers,
         paranoid=args.paranoid,
     )
-    if vm is None:
-        return 2
     if args.jsonl:
         vm.telemetry.add_sink(JsonlSink(args.jsonl))
     runner = entry.run
@@ -290,15 +271,12 @@ def cmd_trace_run(args) -> int:
     # Mark attribution walks the heap after every mark phase; only pay for
     # it when a flamegraph was requested.
     tracer = SpanTracer(attribute_marks=bool(args.flame))
-    vm = _build_vm(
+    vm = VirtualMachine(
         heap_bytes=args.heap,
         collector=args.collector,
         tracing=tracer,
-        gc_workers=args.gc_workers,
         paranoid=args.paranoid,
     )
-    if vm is None:
-        return 2
     runner(vm)
     if vm.stats.collections == 0:
         vm.gc("trace: final collection")
@@ -334,14 +312,11 @@ def cmd_trace_report(args) -> int:
     runner, label, rc = _resolve_workload_runner(args)
     if runner is None:
         return rc
-    vm = _build_vm(
+    vm = VirtualMachine(
         heap_bytes=args.heap,
         collector=args.collector,
         tracing=True,
-        gc_workers=args.gc_workers,
     )
-    if vm is None:
-        return 2
     runner(vm)
     if vm.stats.collections == 0:
         vm.gc("trace: final collection")
@@ -402,21 +377,18 @@ def cmd_top(args) -> int:
     runner, label, rc = _resolve_workload_runner(args)
     if runner is None:
         return rc
-    vm = _build_vm(
+    vm = VirtualMachine(
         heap_bytes=args.heap,
         collector=args.collector,
         tracing=True,
-        gc_workers=args.gc_workers,
     )
-    if vm is None:
-        return 2
     rc = run_top(vm, runner, interval=args.interval, frames=args.frames)
     return rc or _violations_exit(vm)
 
 
 def cmd_monitor(args) -> int:
     """Run a workload under continuous heap-health monitoring."""
-    from repro.errors import ConfigurationError, ReproError, RuntimeFault
+    from repro.errors import ConfigurationError, ReproError
     from repro.monitor import (
         MonitorHub,
         MonitorServer,
@@ -445,9 +417,8 @@ def cmd_monitor(args) -> int:
             hardened=chaotic,
             max_heap_bytes=args.heap * 2 if chaotic else None,
             monitor=hub,
-            gc_workers=args.gc_workers,
         )
-    except (ConfigurationError, RuntimeFault, ValueError) as exc:
+    except (ConfigurationError, ValueError) as exc:
         print(f"monitor configuration error: {exc}")
         return 2
 
@@ -857,14 +828,6 @@ def main(argv=None) -> int:
     )
     stats.add_argument("--heap", type=int, default=None, help="heap bytes override")
     stats.add_argument(
-        "--gc-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="mark with N parallel workers on a zone-sharded heap "
-        "(marksweep/generational; default: sequential unsharded heap)",
-    )
-    stats.add_argument(
         "--assertions",
         action="store_true",
         help="use the benchmark's asserted variant when it has one",
@@ -1007,14 +970,6 @@ def main(argv=None) -> int:
             help="use the workload's asserted variant when it has one",
         )
         target.add_argument(
-            "--gc-workers",
-            type=int,
-            default=None,
-            metavar="N",
-            help="mark with N parallel workers on a zone-sharded heap "
-            "(marksweep/generational; default: sequential unsharded heap)",
-        )
-        target.add_argument(
             "--swaps", type=int, default=64, help="swapleak: swap count"
         )
         target.add_argument(
@@ -1131,7 +1086,8 @@ def main(argv=None) -> int:
         "--interval",
         type=float,
         default=1.0,
-        help="seconds between repaints (default: %(default)s)",
+        help="seconds between checks for a completed collection; a frame "
+        "is repainted after each one (default: %(default)s)",
     )
     top.add_argument(
         "--frames",
@@ -1164,7 +1120,8 @@ def main(argv=None) -> int:
         "--interval",
         type=float,
         default=1.0,
-        help="--watch: seconds between repaints (default: %(default)s)",
+        help="--watch: seconds between checks for a completed collection; "
+        "a frame is repainted after each one (default: %(default)s)",
     )
     monitor.add_argument(
         "--frames",

@@ -37,12 +37,6 @@ machine-readable record ``BENCH_perf.json`` (schema ``repro-bench-perf/1``):
   request-lifecycle spans, merged multi-track export) vs a direct VM with
   tracing off; the counters must be bit-identical and the export must
   validate as a Chrome trace.
-* **par-mark** — the zone-sharded parallel-mark scaling curve: one
-  workload run sequentially and at 1/2/4/8 mark workers; reported as
-  mark-phase edges/s, p99 pause, the deterministic zone-balance speedup
-  bound, and a ``machine`` record (cores, GIL) so the curve can be
-  normalized against available parallelism.  Work counters must be
-  bit-identical across every leg.
 
 Wall-clock numbers from a Python simulator are noisy; the counters are the
 ground truth (``counters_match`` gates CI), the rates are the trend.
@@ -54,7 +48,6 @@ import json
 import platform
 import random
 import time
-from typing import Optional
 
 from repro.gc.stats import GcStats
 from repro.gc.tracer import Tracer
@@ -769,90 +762,6 @@ def bench_loadgen(sessions: int = 50, rate: float = 200.0, seed: int = 0) -> dic
     return payload
 
 
-# -- parallel-mark scaling curve --------------------------------------------------------
-
-
-def bench_par_mark(workload: str = "lusearch", worker_counts=(1, 2, 4, 8)) -> dict:
-    """Zone-sharded parallel marking: worker-count scaling curve vs sequential.
-
-    One sequential leg (``gc_workers`` unset — the unsharded space and the
-    classic fused drain) plus one leg per worker count on the zoned heap.
-    Acceptance bar: every leg's deterministic work counters are bit-identical
-    to the sequential run — zone sharding changes *where* objects live and
-    *who* traces them, never what is traced or freed.
-
-    Two scaling numbers are recorded per leg:
-
-    * ``mark_edges_per_second`` — measured wall-clock rate over the mark
-      phase.  On a GIL build this cannot exceed the sequential rate (the
-      interpreter serializes the drains); the ``machine`` record (cores,
-      GIL) is committed alongside so readers normalize expectations.
-    * ``zone_balance_speedup`` — the deterministic bound: per-zone edge
-      loads LPT-packed onto ``workers`` bins, total work over the busiest
-      bin.  A pure function of the heap partition — bit-identical across
-      runs and machines — so CI can gate the scaling curve without trusting
-      wall clocks.
-    """
-    import os
-    import sys
-
-    suite = build_suite()
-    entry = suite[workload]
-
-    def run_leg(gc_workers: Optional[int]) -> tuple[dict, object]:
-        vm = VirtualMachine(
-            heap_bytes=entry.heap_bytes,
-            assertions=False,
-            gc_workers=gc_workers,
-        )
-        entry.run(vm)
-        vm.collector.sweep_all()
-        stats = vm.stats
-        hist = vm.telemetry.pause_hist
-        mark_s = stats.mark_seconds
-        leg = {
-            "collections": stats.collections,
-            "mark_seconds": mark_s,
-            "mark_edges_per_second": stats.edges_traced / mark_s if mark_s else 0.0,
-            "pause_p99_ms": hist.percentile(99) * 1e3 if hist.count else 0.0,
-            "counters": {
-                "objects_traced": stats.objects_traced,
-                "edges_traced": stats.edges_traced,
-                "objects_freed": stats.objects_freed,
-                "bytes_freed": stats.bytes_freed,
-            },
-        }
-        return leg, vm.collector.last_parallel_mark
-
-    sequential, _ = run_leg(None)
-    base_rate = sequential["mark_edges_per_second"]
-    curve: dict[str, dict] = {}
-    matches = []
-    for workers in worker_counts:
-        leg, report = run_leg(workers)
-        leg["workers"] = workers
-        leg["zones"] = report.zones
-        leg["zone_edges"] = list(report.zone_edges)
-        leg["zone_balance_speedup"] = report.zone_balance_speedup()
-        leg["packets_sent"] = report.packets_sent
-        leg["edges_routed"] = report.edges_routed
-        leg["measured_speedup"] = (
-            leg["mark_edges_per_second"] / base_rate if base_rate else 0.0
-        )
-        matches.append(leg["counters"] == sequential["counters"])
-        curve[str(workers)] = leg
-    return {
-        "workload": workload,
-        "machine": {
-            "cores": os.cpu_count(),
-            "gil": bool(getattr(sys, "_is_gil_enabled", lambda: True)()),
-        },
-        "sequential": sequential,
-        "curve": curve,
-        "counters_match": all(matches),
-    }
-
-
 # -- eager vs lazy pause comparison -----------------------------------------------------
 
 
@@ -931,7 +840,6 @@ def perf_payload(quick: bool = False) -> dict:
         faults = bench_faults(trials=2)
         paranoid = bench_paranoid(trials=2)
         monitor = bench_monitor(trials=2)
-        par_mark = bench_par_mark(worker_counts=(1, 2, 4, 8))
         service = bench_service(trials=2)
         dtrace = bench_dtrace(trials=2)
         loadgen = bench_loadgen(sessions=12)
@@ -944,7 +852,6 @@ def perf_payload(quick: bool = False) -> dict:
         faults = bench_faults()
         paranoid = bench_paranoid()
         monitor = bench_monitor()
-        par_mark = bench_par_mark()
         service = bench_service()
         dtrace = bench_dtrace()
         loadgen = bench_loadgen()
@@ -955,7 +862,6 @@ def perf_payload(quick: bool = False) -> dict:
         and faults["counters_match"]
         and paranoid["counters_match"]
         and monitor["counters_match"]
-        and par_mark["counters_match"]
         and service["counters_match"]
         and dtrace["counters_match"]
         and dtrace["trace_valid"]
@@ -976,7 +882,6 @@ def perf_payload(quick: bool = False) -> dict:
         "abl-monitor": monitor,
         "abl-service": service,
         "abl-dtrace": dtrace,
-        "par-mark": par_mark,
         "service-loadgen": loadgen,
         "counters_match": counters_match,
     }
@@ -1111,29 +1016,6 @@ def render_perf(payload: dict) -> str:
             f"session p50/p99 {loadgen['session_duration_s']['p50'] * 1e3:.2f}/"
             f"{loadgen['session_duration_s']['p99'] * 1e3:.2f}ms, "
             f"{loadgen['violation_frames']} violation frames streamed"
-        )
-    par = payload.get("par-mark")
-    if par is not None:
-        machine = par["machine"]
-        lines.append(
-            f"parallel-mark scaling ({par['workload']}, "
-            f"{machine['cores']} cores, gil={'on' if machine['gil'] else 'off'}):"
-        )
-        seq = par["sequential"]
-        lines.append(
-            f"  sequential: {seq['mark_edges_per_second']:,.0f} edges/s, "
-            f"p99 {seq['pause_p99_ms']:.3f}ms"
-        )
-        for workers, leg in sorted(par["curve"].items(), key=lambda kv: int(kv[0])):
-            lines.append(
-                f"  workers={workers}: {leg['mark_edges_per_second']:,.0f} edges/s "
-                f"({leg['measured_speedup']:.2f}x measured, "
-                f"{leg['zone_balance_speedup']:.2f}x zone-balance bound), "
-                f"p99 {leg['pause_p99_ms']:.3f}ms, "
-                f"{leg['edges_routed']} edges routed in {leg['packets_sent']} packets"
-            )
-        lines.append(
-            "  counters " + ("match" if par["counters_match"] else "DRIFT")
         )
     lines.append(
         "work counters identical across modes: "

@@ -45,26 +45,14 @@ from repro.gc.verify import verify_heap
 from repro.runtime.vm import VirtualMachine
 from repro.verify.coverage import CoverageMatrix, detect_cell, detect_tenant_cell
 
-#: The crash-consistency matrix rows: (collector, sweep_mode, gc_workers).
-#: The workers=4 rows rerun the sharded collectors under parallel marking —
-#: every fault kind must be caught and recovered while four workers drain
-#: zones concurrently.  The injector pins its victims to one zone
-#: (``CHAOS_PIN_ZONE``) so the worker that observes each corruption is the
-#: same run to run.
-MATRIX: tuple[tuple[str, Optional[str], int], ...] = (
-    ("marksweep", "eager", 0),
-    ("marksweep", "lazy", 0),
-    ("generational", "eager", 0),
-    ("generational", "lazy", 0),
-    ("semispace", None, 0),
-    ("marksweep", "eager", 4),
-    ("marksweep", "lazy", 4),
-    ("generational", "eager", 4),
-    ("generational", "lazy", 4),
+#: The crash-consistency matrix rows: (collector, sweep_mode).
+MATRIX: tuple[tuple[str, Optional[str]], ...] = (
+    ("marksweep", "eager"),
+    ("marksweep", "lazy"),
+    ("generational", "eager"),
+    ("generational", "lazy"),
+    ("semispace", None),
 )
-
-#: The zone fault victims are pinned to in parallel-marking cells.
-CHAOS_PIN_ZONE = 1
 
 
 def _chaos_workloads(quick: bool) -> dict[str, tuple[Callable, int]]:
@@ -103,7 +91,6 @@ class CellResult:
     sweep_mode: Optional[str]
     workload: str
     seed: int
-    gc_workers: int = 0
     #: "completed", "typed:<ErrorName>", or "untyped:<ErrorName>: <msg>".
     outcome: str = "completed"
     #: Contract-check failures; empty means the cell passed.
@@ -127,11 +114,7 @@ class CellResult:
     @property
     def label(self) -> str:
         mode = f"/{self.sweep_mode}" if self.sweep_mode else ""
-        workers = f"/workers={self.gc_workers}" if self.gc_workers else ""
-        return (
-            f"{self.collector}{mode}{workers} × {self.workload} "
-            f"(seed {self.seed})"
-        )
+        return f"{self.collector}{mode} × {self.workload} (seed {self.seed})"
 
     def render(self) -> str:
         status = "ok" if self.ok else "FAIL"
@@ -178,18 +161,12 @@ class ChaosReport:
 
 
 def _pending_refusals(collector) -> int:
-    """Armed-but-unconsumed allocation refusals across every space/shard."""
-    from repro.verify.paranoid import _SPACE_ATTRS
+    """Armed-but-unconsumed allocation refusals across every space."""
+    from repro.verify.paranoid import iter_spaces
 
-    total = 0
-    for attr in _SPACE_ATTRS:
-        space = getattr(collector, attr, None)
-        if space is None:
-            continue
-        total += getattr(space, "_fault_refusals", 0)
-        for shard in getattr(space, "shards", None) or ():
-            total += getattr(shard, "_fault_refusals", 0)
-    return total
+    return sum(
+        getattr(space, "_fault_refusals", 0) for _, space in iter_spaces(collector)
+    )
 
 
 def run_cell(
@@ -199,13 +176,12 @@ def run_cell(
     runner: Callable,
     heap_bytes: int,
     seed: int,
-    gc_workers: int = 0,
     paranoid: bool = False,
 ) -> CellResult:
     """One matrix cell: hardened VM, seeded faults, contract checks."""
     from repro.snapshot.capture import SnapshotPolicy
 
-    result = CellResult(collector, sweep_mode, workload, seed, gc_workers)
+    result = CellResult(collector, sweep_mode, workload, seed)
     plan = FaultPlan.one_of_each(seed)
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as snapdir:
         vm = VirtualMachine(
@@ -214,13 +190,10 @@ def run_cell(
             sweep_mode=sweep_mode,
             hardened=True,
             max_heap_bytes=heap_bytes * 2,
-            gc_workers=gc_workers or None,
             paranoid=paranoid,
         )
         SnapshotPolicy(snapdir, every_n_gcs=2).attach(vm)
-        injector = FaultInjector(
-            vm, plan, pin_zone=CHAOS_PIN_ZONE if gc_workers else None
-        ).attach()
+        injector = FaultInjector(vm, plan).attach()
 
         try:
             runner(vm)
@@ -414,7 +387,7 @@ def run_chaos(quick: bool = False, seed: int = 0, paranoid: bool = False) -> Cha
     seeds = (seed,) if quick else (seed, seed + 1)
     workloads = _chaos_workloads(quick)
     report = ChaosReport(seeds=seeds, quick=quick)
-    for collector, sweep_mode, gc_workers in MATRIX:
+    for collector, sweep_mode in MATRIX:
         for workload, (runner, heap_bytes) in workloads.items():
             for cell_seed in seeds:
                 report.cells.append(
@@ -425,7 +398,6 @@ def run_chaos(quick: bool = False, seed: int = 0, paranoid: bool = False) -> Cha
                         runner,
                         heap_bytes,
                         cell_seed,
-                        gc_workers,
                         paranoid=paranoid,
                     )
                 )

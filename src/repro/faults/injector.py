@@ -202,17 +202,9 @@ class FaultInjector:
         self,
         vm: "VirtualMachine",
         plan: Optional[FaultPlan] = None,
-        pin_zone: Optional[int] = None,
     ):
         self.vm = vm
         self.plan = plan or FaultPlan()
-        #: On a zone-sharded heap, restrict victim selection to this zone.
-        #: Parallel marking drains zones concurrently, so without a pin the
-        #: worker that *observes* a corruption could differ run to run even
-        #: though the seeded victim is the same; pinning keeps the chaos
-        #: matrix deterministic.  Ignored when the collector has no zone map
-        #: or when the zone holds no eligible victims.
-        self.pin_zone = pin_zone
         self.rng = random.Random(self.plan.seed)
         self.gc_count = 0
         self.alloc_count = 0
@@ -308,15 +300,7 @@ class FaultInjector:
                 if ref != NULL and ref not in seen and heap.contains(ref):
                     seen.add(ref)
                     stack.append(ref)
-        addresses = sorted(seen)
-        if self.pin_zone is not None:
-            zone_map = getattr(self.vm.collector, "zone_map", None)
-            if zone_map is not None:
-                zone_of = zone_map.zone_of
-                pinned = [a for a in addresses if zone_of(a) == self.pin_zone]
-                if pinned:
-                    return pinned
-        return addresses
+        return sorted(seen)
 
     def _pick_reachable(self):
         addresses = self._reachable()
@@ -414,30 +398,6 @@ class FaultInjector:
 
     def _fault_corrupt_freelist(self, fault: Fault) -> str:
         space = self._primary_space()
-        shards = getattr(space, "shards", None)
-        if shards is not None:
-            # Zone-sharded space: the facade has no free list of its own,
-            # so corrupt a shard — the pinned zone's when one is set.
-            pool = list(shards)
-            if self.pin_zone is not None and 0 <= self.pin_zone < len(shards):
-                pool = [shards[self.pin_zone]]
-            victims = sorted(
-                address
-                for shard in pool
-                for chunk in shard._chunks.values()
-                for address in chunk
-                if self.vm.heap.contains(address)
-            )
-            if not victims:
-                return "inert: no allocated cells"
-            address = self.rng.choice(victims)
-            shard = space.shard_for(address)
-            cell = shard.cell_size(address)
-            shard.free_list.push(address, cell)
-            return (
-                f"live cell {address:#x} ({cell} bytes) duplicated onto "
-                f"the {shard.name} free list"
-            )
         free_list = getattr(space, "free_list", None)
         if free_list is not None:
             victims = sorted(

@@ -138,16 +138,6 @@ class Collector:
         #: is one attribute load + ``is None`` test and no span object of
         #: any kind is allocated — the same zero-overhead bar as telemetry.
         self.span_tracer = None
-        #: Parallel marking (PR 7).  ``gc_workers == 0`` is the legacy
-        #: sequential path, byte-identical to pre-zone behaviour; ``>= 1``
-        #: routes full-GC mark drains through the zone-sharded coordinator
-        #: (:mod:`repro.gc.parallel`) when a ``zone_map`` is set.  Subclasses
-        #: that support zoning assign both.
-        self.gc_workers = 0
-        self.zone_map = None
-        #: :class:`~repro.gc.parallel.ParallelMarkReport` of the most recent
-        #: parallel mark (bench and tests read it), or None.
-        self.last_parallel_mark = None
         #: Paranoid mode (PR 10): run the full wellformedness walker around
         #: every collection and raise :class:`~repro.gc.verify.HeapVerificationError`
         #: on any finding.  Off by default; when off the cost is one falsy
@@ -274,27 +264,6 @@ class Collector:
             else:
                 self.recovery.engine_degradations += 1
 
-    def _parallel_eligible(self, tracer: Tracer) -> bool:
-        """True when this mark drain may run on the zone-sharded pool.
-
-        The parallel drains replicate the two *fused* loop bodies (plain
-        and inline-engine); anything that needs the general dispatching
-        drain — a snapshot sink capturing mid-trace, an unspecialized
-        tracer, an engine without ``INLINE_HEADER_CHECKS`` — falls back to
-        the sequential path for that collection.
-        """
-        if self.gc_workers <= 0 or self.zone_map is None:
-            return False
-        if tracer.snapshot is not None or not tracer.specialized:
-            return False
-        engine = tracer.engine
-        return engine is None or getattr(engine, "INLINE_HEADER_CHECKS", False)
-
-    def _parallel_marker(self, tracer: Tracer):
-        from repro.gc.parallel import ParallelMarker
-
-        return ParallelMarker(self, self.gc_workers, self.zone_map)
-
     def _mark_once(self, tracer: Tracer) -> None:
         engine = self.engine
         spans = self.span_tracer
@@ -304,13 +273,9 @@ class Collector:
                 self.stats, "ownership_phase_seconds", spans, "ownership_phase"
             ):
                 self._engine_call("pre_mark", engine.pre_mark, self, tracer)
-        parallel = self._parallel_eligible(tracer)
         if spans is None:
             with PhaseTimer(self.stats, "mark_seconds"):
-                if parallel:
-                    self._parallel_marker(tracer).mark(tracer, self._roots())
-                else:
-                    tracer.trace(self._roots())
+                tracer.trace(self._roots())
         else:
             # The root scan and the drain get child spans of their own; the
             # loops themselves are untouched (spans are phase-granular).
@@ -318,10 +283,7 @@ class Collector:
                 with spans.span("root_scan"):
                     tracer.scan_roots(self._roots())
                 with spans.span("mark_drain"):
-                    if parallel:
-                        self._parallel_marker(tracer).drain(tracer)
-                    else:
-                        tracer.drain()
+                    tracer.drain()
             if spans.attribute_marks:
                 # Between mark end and sweep begin the mark bits identify
                 # exactly this cycle's traced set — the attribution window.

@@ -36,7 +36,6 @@ from repro.heap.heap import SPACE_STRIDE
 from repro.heap.layout import HEAP_BASE_ADDRESS, NULL
 from repro.heap.object_model import ClassDescriptor, HeapObject
 from repro.heap.space import BumpSpace, FreeListSpace
-from repro.heap.zones import DEFAULT_ZONE_COUNT, ZoneMap
 
 #: Fraction of the total heap budget given to the nursery.
 DEFAULT_NURSERY_FRACTION = 0.15
@@ -60,17 +59,8 @@ class GenerationalCollector(Collector):
         sweep_mode: str = "eager",
         hardened: bool = False,
         max_heap_bytes=None,
-        gc_workers: int = 0,
-        zones: int = DEFAULT_ZONE_COUNT,
     ):
         super().__init__(heap_bytes, engine, track_paths, hardened, max_heap_bytes)
-        if gc_workers > 0:
-            # The nursery/mature pair keeps its legacy layout; full-heap
-            # parallel marks bucket addresses by granule hash instead.
-            # Minor collections are untouched (their copying scan is not a
-            # mark drain and checks no assertions anyway).
-            self.gc_workers = gc_workers
-            self.zone_map = ZoneMap.hashed(zones)
         nursery_bytes = max(4096, int(heap_bytes * nursery_fraction))
         self.nursery = BumpSpace("nursery", nursery_bytes, HEAP_BASE_ADDRESS + SPACE_STRIDE)
         self.mature = FreeListSpace("mature", heap_bytes - nursery_bytes, HEAP_BASE_ADDRESS)

@@ -29,7 +29,6 @@ from repro.heap.blocks import BlockSpace
 from repro.heap.freelist import SIZE_CLASS_LOOKUP, SIZE_CLASSES
 from repro.heap.object_model import ClassDescriptor, HeapObject
 from repro.heap.space import FreeListSpace
-from repro.heap.zones import DEFAULT_ZONE_COUNT, ZoneMap, ZonedFreeListSpace
 
 #: Cells fetched per run-cache refill.  One refill amortizes the free-list
 #: bucket lookup (or bump carve) over this many allocations.
@@ -61,27 +60,14 @@ class MarkSweepCollector(Collector):
         sweep_mode: str = "eager",
         hardened: bool = False,
         max_heap_bytes=None,
-        gc_workers: int = 0,
-        zones: int = DEFAULT_ZONE_COUNT,
     ):
         super().__init__(heap_bytes, engine, track_paths, hardened, max_heap_bytes)
         if space_policy == "freelist":
-            if gc_workers > 0:
-                # Zone-sharded layout: per-zone free lists at strided bases
-                # behind one shared byte budget, so the zone map is exact
-                # range arithmetic and GC trigger points are unchanged.
-                self.space = ZonedFreeListSpace("ms", heap_bytes, zones=zones)
-                self.zone_map = self.space.zone_map()
-            else:
-                self.space = FreeListSpace("ms", heap_bytes)
+            self.space = FreeListSpace("ms", heap_bytes)
         elif space_policy == "blocks":
             self.space = BlockSpace("ms", heap_bytes)
-            if gc_workers > 0:
-                # The blocks layout is not zone-aware; bucket by granule.
-                self.zone_map = ZoneMap.hashed(zones)
         else:
             raise HeapError(f"unknown space policy {space_policy!r}")
-        self.gc_workers = gc_workers
         if sweep_mode not in ("eager", "lazy"):
             raise HeapError(f"unknown sweep mode {sweep_mode!r}")
         self.space_policy = space_policy

@@ -103,29 +103,6 @@ class GcStats:
             setattr(out, field, getattr(self, field) + getattr(other, field))
         return out
 
-    def merge(self, *others: "GcStats") -> "GcStats":
-        """Combine per-zone/per-worker partials of one pause.
-
-        Unlike :meth:`merged_with` (which concatenates *disjoint* run
-        windows and therefore sums everything), ``merge`` combines partials
-        that observed the *same* wall-clock pause: work counters sum —
-        every partial did distinct work — but timers take the elementwise
-        maximum, because N workers inside one pause still cost one pause,
-        not N.  Parallel-mark partials carry zero timers (the pause is
-        timed once by the enclosing ``PhaseTimer``), so merging them can
-        never inflate pause time.
-        """
-        out = self.copy()
-        for other in others:
-            for field in self.COUNTER_FIELDS:
-                setattr(out, field, getattr(out, field) + getattr(other, field))
-            for field in self.TIMER_FIELDS:
-                mine = getattr(out, field)
-                theirs = getattr(other, field)
-                if theirs > mine:
-                    setattr(out, field, theirs)
-        return out
-
     def diff(self, other: "GcStats") -> "GcStats":
         """Per-window delta ``self - other`` (``other`` is the earlier
         snapshot); the telemetry layer uses this to attribute work and time

@@ -19,8 +19,8 @@ Checked invariants:
 
 With ``paranoid=True`` the walk additionally runs the wellformedness
 checks in :mod:`repro.verify.paranoid` (free-list/live disjointness,
-orphaned allocator cells, zone-routing agreement, quarantine fencing,
-header flag hygiene) — the ``debug.c``-style full-heap walker.
+orphaned allocator cells, quarantine fencing, header flag hygiene) — the
+``debug.c``-style full-heap walker.
 
 .. warning::
    By default ``verify_heap`` *finishes deferred lazy-sweep work*

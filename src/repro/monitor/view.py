@@ -1,7 +1,7 @@
 """``python -m repro monitor`` — live SLO/utilization terminal view.
 
-Same shape as :mod:`repro.tracing.top`: the workload runs in a daemon
-thread while the main thread repaints a monitor frame — health score,
+Same frame loop as :mod:`repro.tracing.top`: the workload runs in a
+daemon thread while the main thread repaints a monitor frame — health score,
 utilization sparkline-by-bucket, the MMU curve, and one line per SLO
 objective with its budget and burn state.  Reads are lock-free; a frame
 drawn mid-pause is at worst one event stale.
@@ -9,18 +9,15 @@ drawn mid-pause is at worst one event stale.
 
 from __future__ import annotations
 
-import threading
-import time
 from typing import Callable, Optional, TextIO, TYPE_CHECKING
 
 from repro.monitor.health import health_report
 from repro.monitor.mmu import DEFAULT_MMU_WINDOWS
+from repro.tracing.top import drive_frames
 
 if TYPE_CHECKING:
     from repro.monitor.timeseries import MonitorHub
     from repro.runtime.vm import VirtualMachine
-
-_ANSI_CLEAR = "\x1b[H\x1b[2J"
 
 #: Glyph ramp for the utilization strip (low → high mutator share).
 _RAMP = " .:-=+*#%@"
@@ -108,6 +105,7 @@ def run_monitor(
 ) -> int:
     """Drive ``runner(vm)`` under live monitoring while repainting frames.
 
+    Frames follow the :func:`~repro.tracing.top.drive_frames` contract.
     Returns the SLO exit code once the workload finishes: 0 all within
     budget, 1 budget exhausted or an alert firing — or 1 when the
     workload thread died.  (Configuration errors raise before this runs;
@@ -117,44 +115,12 @@ def run_monitor(
 
     if stream is None:
         stream = sys.stdout
-    if ansi is None:
-        ansi = hasattr(stream, "isatty") and stream.isatty()
-    error: list[BaseException] = []
-
-    def _drive() -> None:
-        try:
-            runner(vm)
-        except BaseException as exc:  # surfaced in the final frame
-            error.append(exc)
-
-    worker = threading.Thread(
-        target=_drive, name="repro-monitor-workload", daemon=True
+    error = drive_frames(
+        vm, runner,
+        lambda frame_no, elapsed: render_monitor_frame(vm, hub, frame_no, elapsed),
+        interval, frames, stream, ansi, "repro-monitor-workload",
     )
-    start = time.perf_counter()
-    worker.start()
-    frame_no = 0
-    while True:
-        frame_no += 1
-        frame = render_monitor_frame(vm, hub, frame_no, time.perf_counter() - start)
-        if ansi:
-            stream.write(_ANSI_CLEAR)
-        elif frame_no > 1:
-            stream.write("\n" + "-" * 72 + "\n")
-        stream.write(frame)
-        stream.write("\n")
-        stream.flush()
-        if frames is not None and frame_no >= frames:
-            break
-        if not worker.is_alive():
-            break
-        worker.join(timeout=interval)
-        if not worker.is_alive() and frames is None:
-            # One more pass so the final frame reflects the settled state.
-            continue
-    if worker.is_alive():
-        stream.write(f"(workload still running after {frame_no} frames; detaching)\n")
-    if error:
-        stream.write(f"workload failed: {error[0]!r}\n")
+    if error is not None:
         return 1
     if hub.slos is not None and not hub.slos.healthy():
         burning = [rule.objective.name for rule in hub.slos.firing()]

@@ -80,7 +80,6 @@ class VirtualMachine:
         hardened: bool = False,
         max_heap_bytes: Optional[int] = None,
         monitor: Union[bool, "MonitorHub"] = False,
-        gc_workers: Optional[int] = None,
         paranoid: bool = False,
     ):
         self.classes = ClassRegistry()
@@ -115,19 +114,6 @@ class VirtualMachine:
                         f"sweep_mode is a mark-sweep option; {collector!r} does not sweep"
                     )
                 kwargs["sweep_mode"] = sweep_mode
-            if gc_workers is not None:
-                if collector not in ("marksweep", "generational"):
-                    raise RuntimeFault(
-                        f"gc_workers is a mark-sweep option; {collector!r} "
-                        "has no parallel mark phase"
-                    )
-                if gc_workers < 0:
-                    raise RuntimeFault(f"gc_workers must be >= 0, got {gc_workers}")
-                # 0 (or None) keeps the legacy sequential path; >= 1 builds
-                # the zone-sharded heap and routes full-GC mark drains
-                # through the parallel coordinator (workers=1 runs the same
-                # coordinator inline — the counter-identity baseline).
-                kwargs["gc_workers"] = gc_workers
             self.collector = factory(
                 heap_bytes, engine=self.engine, track_paths=track_paths, **kwargs
             )

@@ -25,8 +25,7 @@ checks that caused it.  This module closes that gap with three pieces:
   traced tenant VM's ``SpanTracer`` stream into one Chrome/Perfetto
   export.  Requests get synthetic ``tid`` lanes on the server process;
   each tenant VM becomes its own synthetic process (``pid`` =
-  ``TENANT_TRACK_BASE + n``, reusing PR 7's ``WORKER_TRACK_BASE``
-  convention for synthetic tracks), so one timeline shows tenant A's
+  ``TENANT_TRACK_BASE + n``), so one timeline shows tenant A's
   violation-delivery lag overlapping tenant B's mark pause on the
   shared executor.  Tenant GC spans are re-parented under the owning
   request: top-level spans and instants carry ``trace_id`` /
@@ -50,7 +49,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.tracing.export import TRACE_PID, TRACE_TID
-from repro.tracing.spans import WORKER_TRACK_BASE
 
 if TYPE_CHECKING:
     import random
@@ -58,11 +56,11 @@ if TYPE_CHECKING:
 #: Schema tag for merged multi-tenant exports (``otherData.schema``).
 DTRACE_SCHEMA = "repro-dtrace/1"
 
-#: Synthetic-track conventions, continuing PR 7's ``WORKER_TRACK_BASE``:
+#: Synthetic-track base, clear of the real ``TRACE_PID``/``TRACE_TID``:
 #: request lanes are ``tid`` s >= REQUEST_TRACK_BASE on the server
 #: process; tenant VMs are ``pid`` s >= TENANT_TRACK_BASE.
-REQUEST_TRACK_BASE = WORKER_TRACK_BASE
-TENANT_TRACK_BASE = WORKER_TRACK_BASE
+REQUEST_TRACK_BASE = 100
+TENANT_TRACK_BASE = REQUEST_TRACK_BASE
 
 _TRACEPARENT = re.compile(
     r"^([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-([0-9a-f]{2})$"
@@ -308,17 +306,6 @@ def _tenant_chrome_events(record: dict, pid: int, t0: float) -> list[dict]:
                 "ts": (ts - t0) * 1e6, "pid": pid, "tid": TRACE_TID,
             }
             depth -= 1
-        elif ph == "X":
-            _ph, name, cat, ts, dur, args, track = event
-            row = {
-                "name": name, "cat": cat, "ph": "X",
-                "ts": (ts - t0) * 1e6, "dur": dur * 1e6,
-                "pid": pid, "tid": track,
-            }
-            merged = dict(args) if args else {}
-            merged.update(trace_args)
-            if merged:
-                row["args"] = merged
         elif ph == "i":
             _ph, name, cat, ts, args = event
             row = {
@@ -341,7 +328,7 @@ def _tenant_chrome_events(record: dict, pid: int, t0: float) -> list[dict]:
 
 def _tenant_metadata(record: dict, pid: int) -> list[dict]:
     name = f"tenant {record['tenant']} ({record['session']})"
-    rows = [
+    return [
         {
             "name": "process_name", "ph": "M", "pid": pid, "tid": TRACE_TID,
             "ts": 0,
@@ -356,16 +343,6 @@ def _tenant_metadata(record: dict, pid: int) -> list[dict]:
             "ts": 0, "args": {"name": "mutator+gc"},
         },
     ]
-    worker_tracks = sorted(
-        {e[6] for e in record["tracer"].snapshot_events() if e[0] == "X"}
-    )
-    for track in worker_tracks:
-        rows.append({
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": track,
-            "ts": 0,
-            "args": {"name": f"mark-worker-{track - WORKER_TRACK_BASE}"},
-        })
-    return rows
 
 
 def merge_service_trace(
@@ -393,8 +370,6 @@ def merge_service_trace(
             ph = event[0]
             if ph in ("E", "C"):
                 ts = event[2]
-            elif ph == "X":
-                ts = event[3] + event[4]
             else:
                 ts = event[3]
             horizon = max(horizon, ts)

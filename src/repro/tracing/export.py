@@ -11,9 +11,6 @@ The exported file follows the Trace Event Format's JSON-object form::
   form.
 * Instants become ``ph: "i"`` with thread scope, counters ``ph: "C"``
   (Perfetto renders those as graph lanes — sweep debt over time).
-* Parallel-mark worker windows become ``ph: "X"`` *complete* events on
-  their own synthetic ``tid`` lanes (named ``mark-worker-N`` via metadata),
-  so worker activity renders side by side under the ``mark`` span.
 * Timestamps are microseconds relative to the tracer's ``t0`` — always
   monotonically non-decreasing because the recorder is single-threaded.
 * ``ph: "M"`` metadata events name the process and thread tracks.
@@ -29,8 +26,6 @@ from __future__ import annotations
 import json
 import os
 from typing import TYPE_CHECKING, Optional, Union
-
-from repro.tracing.spans import WORKER_TRACK_BASE
 
 if TYPE_CHECKING:
     from repro.tracing.spans import SpanTracer
@@ -65,19 +60,6 @@ def chrome_trace_events(tracer: "SpanTracer") -> list[dict]:
             "args": {"name": "mutator+gc"},
         },
     ]
-    # Synthetic worker lanes get thread_name metadata up front.
-    worker_tracks = sorted({e[6] for e in tracer.events if e[0] == "X"})
-    for track in worker_tracks:
-        out.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": TRACE_PID,
-                "tid": track,
-                "ts": 0,
-                "args": {"name": f"mark-worker-{track - WORKER_TRACK_BASE}"},
-            }
-        )
     append = out.append
     for event in tracer.events:
         ph = event[0]
@@ -102,19 +84,6 @@ def chrome_trace_events(tracer: "SpanTracer") -> list[dict]:
                 "pid": TRACE_PID,
                 "tid": TRACE_TID,
             }
-        elif ph == "X":
-            _ph, name, cat, ts, dur, args, track = event
-            row = {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "ts": (ts - t0) * 1e6,
-                "dur": dur * 1e6,
-                "pid": TRACE_PID,
-                "tid": track,
-            }
-            if args:
-                row["args"] = args
         elif ph == "i":
             _ph, name, cat, ts, args = event
             row = {

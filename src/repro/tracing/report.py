@@ -53,26 +53,6 @@ def aggregate_spans(events: Iterable[tuple]) -> dict[str, dict]:
         ph = event[0]
         if ph == "B":
             stack.append([event[1], event[3], 0.0])
-        elif ph == "X":
-            # Complete span on a synthetic worker track: self-contained
-            # duration, no stack interaction (worker lanes are flat), and —
-            # living on its own track — it is not a child of whatever main
-            # span happens to be open.
-            name, duration = event[1], event[4]
-            row = out.get(name)
-            if row is None:
-                out[name] = {
-                    "count": 1,
-                    "total_s": duration,
-                    "self_s": duration,
-                    "max_s": duration,
-                }
-            else:
-                row["count"] += 1
-                row["total_s"] += duration
-                row["self_s"] += duration
-                if duration > row["max_s"]:
-                    row["max_s"] = duration
         elif ph == "E":
             if not stack:
                 continue  # stray end (never produced by the recorder)

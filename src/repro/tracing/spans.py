@@ -28,8 +28,6 @@ The event stream is a flat list of tuples (cheapest possible record):
 
 * ``("B", name, cat, ts, args)`` — span begin (``args`` may be ``None``)
 * ``("E", name, ts)``            — span end (name repeated for exporters)
-* ``("X", name, cat, ts, dur, args, track)`` — complete span on a synthetic
-  track (parallel mark workers; see below)
 * ``("i", name, cat, ts, args)`` — instant event
 * ``("C", name, ts, values)``    — counter track sample (``{series: num}``)
 
@@ -37,14 +35,6 @@ The event stream is a flat list of tuples (cheapest possible record):
 tracer's ``t0``.  Because the simulator is single-threaded, begin/end pairs
 nest properly by construction — the exporter and the analysis replay both
 verify it anyway.
-
-Parallel mark workers are the one concurrent producer in the system, and
-they do **not** emit into this stream live: the begin/end stack is
-single-threaded state.  Instead the mark coordinator records each worker's
-busy window after the pool joins, as a *complete* span (:meth:`complete`)
-carrying its own duration and a synthetic ``track`` id, so worker lanes
-render side by side under the ``mark`` span without ever touching the
-begin/end stack.
 """
 
 from __future__ import annotations
@@ -54,15 +44,10 @@ from typing import Optional
 
 from repro.heap import header as _hdr
 
-__all__ = ["SpanTracer", "MARK_ATTRIBUTION_UNTAGGED", "WORKER_TRACK_BASE"]
+__all__ = ["SpanTracer", "MARK_ATTRIBUTION_UNTAGGED"]
 
 #: Allocation-site key used for objects carrying no ``alloc_site`` tag.
 MARK_ATTRIBUTION_UNTAGGED = "<untagged>"
-
-#: Synthetic track-id base for parallel-mark worker lanes: worker *i*
-#: records its complete spans with ``track=WORKER_TRACK_BASE + i``, and the
-#: Chrome exporter turns each track into its own named ``tid`` lane.
-WORKER_TRACK_BASE = 100
 
 
 class _SpanContext:
@@ -141,26 +126,6 @@ class SpanTracer:
             ts = time.perf_counter()
         name = self._open.pop()
         self.events.append(("E", name, ts))
-        self.spans_ended += 1
-
-    def complete(
-        self,
-        name: str,
-        start_ts: float,
-        end_ts: float,
-        cat: str = "gc",
-        args: Optional[dict] = None,
-        track: int = 0,
-    ) -> None:
-        """Record an already-finished span on a synthetic track.
-
-        Used for per-worker parallel-mark lanes: the window is measured on
-        the worker and recorded here retroactively (single-threaded), so
-        the begin/end stack is never shared across threads.  Counts as one
-        begun *and* one ended span — the balance invariant holds.
-        """
-        self.events.append(("X", name, cat, start_ts, end_ts - start_ts, args, track))
-        self.spans_begun += 1
         self.spans_ended += 1
 
     def span(self, name: str, cat: str = "gc", **args) -> _SpanContext:

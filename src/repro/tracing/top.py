@@ -1,8 +1,8 @@
 """``python -m repro top`` — a live terminal view of a running VM.
 
 The workload runs in a daemon thread; the main thread repaints a summary
-frame every ``interval`` seconds from the VM's telemetry hub and span
-recorder.  Reads are lock-free on purpose: list slicing is atomic under the
+frame from the VM's telemetry hub and span recorder after each completed
+collection (see :func:`drive_frames`), polling every ``interval`` seconds.  Reads are lock-free on purpose: list slicing is atomic under the
 GIL, the span-aggregation replay tolerates an unclosed tail (a frame drawn
 mid-pause simply omits the open spans), and histogram counters are only
 ever incremented — a torn read is at worst one sample stale.
@@ -108,21 +108,29 @@ def render_frame(vm: "VirtualMachine", frame_no: int, elapsed: float) -> str:
     return "\n".join(lines)
 
 
-def run_top(
+def drive_frames(
     vm: "VirtualMachine",
     runner: Callable[["VirtualMachine"], object],
-    interval: float = 1.0,
-    frames: Optional[int] = None,
-    stream: Optional[TextIO] = None,
-    ansi: Optional[bool] = None,
-) -> int:
-    """Drive ``runner(vm)`` in a daemon thread while repainting frames.
+    render: Callable[[int, float], str],
+    interval: float,
+    frames: Optional[int],
+    stream: Optional[TextIO],
+    ansi: Optional[bool],
+    thread_name: str,
+) -> Optional[BaseException]:
+    """Drive ``runner(vm)`` in a daemon thread while painting live frames.
 
-    Returns 0, or 1 when the workload thread died on an exception (the
-    traceback message is printed in the final frame).  Stops after
-    ``frames`` repaints even if the workload is still running — the CI
-    smoke mode; ``frames=None`` runs until the workload finishes and then
-    draws one final settled frame.
+    The frame contract shared by ``repro top`` and ``repro monitor``: the
+    first frame ``render(frame_no, elapsed)`` is painted at once, and every
+    later frame only once at least one collection has completed since the
+    previous frame, or once the workload has finished.  ``interval`` is
+    the polling cadence of that wait, so a frame never depends on how
+    fast the host reaches the first collection.  Stops after ``frames``
+    frames, detaching from a workload still running; ``frames=None`` runs
+    until the workload finishes and paints one final settled frame.
+
+    Returns the exception the workload thread died with (also reported on
+    ``stream``), or None.
     """
     import sys
 
@@ -131,20 +139,27 @@ def run_top(
     if ansi is None:
         ansi = hasattr(stream, "isatty") and stream.isatty()
     error: list[BaseException] = []
+    completed = [0]
 
     def _drive() -> None:
         try:
             runner(vm)
-        except BaseException as exc:  # surfaced in the final frame
+        except BaseException as exc:  # surfaced after the final frame
             error.append(exc)
 
-    worker = threading.Thread(target=_drive, name="repro-top-workload", daemon=True)
+    def _count_collection(_vm, _freed) -> None:
+        completed[0] += 1
+
+    vm.gc_observers.append(_count_collection)
+    worker = threading.Thread(target=_drive, name=thread_name, daemon=True)
     start = time.perf_counter()
     worker.start()
     frame_no = 0
     while True:
         frame_no += 1
-        frame = render_frame(vm, frame_no, time.perf_counter() - start)
+        seen = completed[0]
+        finished = not worker.is_alive()
+        frame = render(frame_no, time.perf_counter() - start)
         if ansi:
             stream.write(_ANSI_CLEAR)
         elif frame_no > 1:
@@ -152,17 +167,36 @@ def run_top(
         stream.write(frame)
         stream.write("\n")
         stream.flush()
-        if frames is not None and frame_no >= frames:
+        if finished or (frames is not None and frame_no >= frames):
             break
-        if not worker.is_alive():
-            break
-        worker.join(timeout=interval)
-        if not worker.is_alive() and frames is None:
-            # One more pass so the final frame reflects the settled state.
-            continue
+        while completed[0] == seen and worker.is_alive():
+            worker.join(timeout=interval)
     if worker.is_alive():
+        # The workload may be iterating gc_observers right now, so the
+        # counter stays attached rather than racing a list removal.
         stream.write(f"(workload still running after {frame_no} frames; detaching)\n")
+    else:
+        vm.gc_observers.remove(_count_collection)
     if error:
         stream.write(f"workload failed: {error[0]!r}\n")
-        return 1
-    return 0
+        return error[0]
+    return None
+
+
+def run_top(
+    vm: "VirtualMachine",
+    runner: Callable[["VirtualMachine"], object],
+    interval: float = 1.0,
+    frames: Optional[int] = None,
+    stream: Optional[TextIO] = None,
+    ansi: Optional[bool] = None,
+) -> int:
+    """Drive ``runner(vm)`` under :func:`drive_frames`, painting top frames.
+
+    Returns 0, or 1 when the workload thread died on an exception.
+    """
+    error = drive_frames(
+        vm, runner, lambda frame_no, elapsed: render_frame(vm, frame_no, elapsed),
+        interval, frames, stream, ansi, "repro-top-workload",
+    )
+    return 0 if error is None else 1

@@ -8,7 +8,7 @@ invariant we can name has been checked against every state we can reach":
   executable Soundness/Completeness against a brute-force oracle;
 * :mod:`repro.verify.paranoid` — a full-heap wellformedness walker that
   cross-checks the allocator's own bookkeeping (free lists, chunk tables,
-  bump records, zone routing) against the object table;
+  bump records) against the object table;
 * :mod:`repro.verify.coverage` — the fault → invariant matrix proving
   each injected fault kind is caught by a named invariant.
 """
@@ -27,7 +27,7 @@ from repro.verify.modelcheck import (
     enumerate_shapes,
     run_model_check,
 )
-from repro.verify.paranoid import iter_spaces, iter_sharded_spaces, paranoid_problems
+from repro.verify.paranoid import iter_spaces, paranoid_problems
 
 __all__ = [
     "FAULT_INVARIANTS",
@@ -41,6 +41,5 @@ __all__ = [
     "enumerate_shapes",
     "run_model_check",
     "iter_spaces",
-    "iter_sharded_spaces",
     "paranoid_problems",
 ]

@@ -3,7 +3,7 @@
 The executable analogue of the Alloy ``marksweepgc`` checks: enumerate
 *every* heap shape up to a bounded scope — N objects, E edges, R roots,
 reduced modulo graph isomorphism — run every (collector × sweep-mode ×
-gc-workers × assertion-config) cell on each shape, and assert the three
+assertion-config) cell on each shape, and assert the three
 soundness/completeness properties against a brute-force reachability
 oracle computed in plain Python:
 
@@ -19,8 +19,7 @@ On top of the collector properties, the paper-level invariants: an
 ``assert_dead`` verdict must equal the oracle's reachability verdict in
 every cell, and the full assert-dead/unshared/ownedby verdict set must be
 *identical across all cells* on the same shape — the collector being
-eager, lazy, parallel, or copying must never change what an assertion
-observes.
+eager, lazy, or copying must never change what an assertion observes.
 
 Scope defaults (N=4, E=3, R=2) mirror ``check Soundness1 for 3``-style
 Alloy scopes: small enough to exhaust in CI, large enough for cycles,
@@ -233,33 +232,30 @@ def enumerate_shapes(
 
 @dataclass(frozen=True)
 class Cell:
-    """One (collector, sweep-mode, workers, assertion-config) configuration."""
+    """One (collector, sweep-mode, assertion-config) configuration."""
 
     collector: str
     sweep_mode: str
-    gc_workers: int
     assertions: bool
 
     @property
     def label(self) -> str:
         battery = "asserted" if self.assertions else "base"
-        return f"{self.collector}/{self.sweep_mode}/w{self.gc_workers}/{battery}"
+        return f"{self.collector}/{self.sweep_mode}/{battery}"
 
 
 def default_cells() -> list:
-    """The full matrix: 9 collector configs x 2 assertion configs.
+    """The full matrix: 5 collector configs x 2 assertion configs.
 
-    Semispace has no sweep modes and no parallel mark phase, so it
-    contributes one collector config; mark-sweep and generational cross
-    {eager, lazy} x workers {0, 2}.
+    Semispace has no sweep modes, so it contributes one collector config;
+    mark-sweep and generational each run {eager, lazy}.
     """
     cells = []
     for assertions in (False, True):
         for collector in ("marksweep", "generational"):
             for sweep_mode in ("eager", "lazy"):
-                for workers in (0, 2):
-                    cells.append(Cell(collector, sweep_mode, workers, assertions))
-        cells.append(Cell("semispace", "eager", 0, assertions))
+                cells.append(Cell(collector, sweep_mode, assertions))
+        cells.append(Cell("semispace", "eager", assertions))
     return cells
 
 
@@ -274,8 +270,6 @@ def _default_vm_factory(cell: Cell):
     )
     if cell.collector in ("marksweep", "generational"):
         kwargs["sweep_mode"] = cell.sweep_mode
-        if cell.gc_workers:
-            kwargs["gc_workers"] = cell.gc_workers
     return VirtualMachine(**kwargs)
 
 

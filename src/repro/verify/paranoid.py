@@ -14,9 +14,7 @@ allocator's own bookkeeping:
 * **free-cell sanity** — free cells are word aligned;
 * **orphaned allocator cells** — every committed free-list chunk cell and
   every bump record corresponds to a live table object or a fenced
-  address (a phantom record charges bytes nobody owns);
-* **zone-routing agreement** — in a zone-sharded space, every cell held
-  by shard *i* actually routes to zone *i* under the space's zone map.
+  address (a phantom record charges bytes nobody owns).
 
 Everything here is read-only and costs nothing when not called: the
 collectors only invoke it behind ``if self.paranoid:``.
@@ -38,29 +36,10 @@ _SPACE_ATTRS = ("space", "nursery", "mature", "from_space", "to_space")
 
 
 def iter_spaces(collector: "Collector") -> Iterator[Tuple[str, object]]:
-    """Yield ``(name, space)`` for every concrete space the collector owns.
-
-    Zone-sharded facades are expanded into their per-zone shards (the
-    shards hold the actual free lists and chunk tables); the facade itself
-    is reachable via :func:`iter_sharded_spaces` for routing checks.
-    """
+    """Yield ``(name, space)`` for every concrete space the collector owns."""
     for attr in _SPACE_ATTRS:
         space = getattr(collector, attr, None)
-        if space is None:
-            continue
-        shards = getattr(space, "shards", None)
-        if shards is not None:
-            for zone, shard in enumerate(shards):
-                yield f"{attr}/z{zone}", shard
-        else:
-            yield attr, space
-
-
-def iter_sharded_spaces(collector: "Collector") -> Iterator[Tuple[str, object]]:
-    """Yield ``(name, facade)`` for every zone-sharded space facade."""
-    for attr in _SPACE_ATTRS:
-        space = getattr(collector, attr, None)
-        if space is not None and getattr(space, "shards", None) is not None:
+        if space is not None:
             yield attr, space
 
 
@@ -122,29 +101,5 @@ def paranoid_problems(vm: "VirtualMachine") -> list[str]:
                         f"paranoid {name}: orphan bump cell {address:#x} "
                         f"({nbytes}B) has no table entry and is not fenced"
                     )
-
-    # -- zone-routing agreement -------------------------------------------------------
-    for name, facade in iter_sharded_spaces(collector):
-        zone_of = facade.zone_of
-        for zone, shard in enumerate(facade.shards):
-            chunks = getattr(shard, "_chunks", None) or {}
-            for cells in chunks.values():
-                for address in cells:
-                    routed = zone_of(address)
-                    if routed != zone:
-                        problems.append(
-                            f"paranoid {name}: cell {address:#x} held by "
-                            f"zone {zone} but routes to zone {routed}"
-                        )
-            free_list = getattr(shard, "free_list", None)
-            if free_list is not None:
-                for cells in free_list._cells.values():
-                    for address in cells:
-                        routed = zone_of(address)
-                        if routed != zone:
-                            problems.append(
-                                f"paranoid {name}: free cell {address:#x} on "
-                                f"zone {zone} free list routes to zone {routed}"
-                            )
 
     return problems

@@ -82,7 +82,7 @@ def test_full_matrix_passes_at_small_scope():
 
 def test_marksweep_asserted_cell_passes_at_depth_three():
     """One asserted cell through the full N=3 shape set (845+ shapes)."""
-    cells = [Cell("marksweep", "lazy", 0, True)]
+    cells = [Cell("marksweep", "lazy", True)]
     report = run_model_check(max_objects=3, max_edges=3, max_roots=2, cells=cells)
     assert report.ok, report.render()
     # Shape-count floor: the N=3/E=3/R=2 scope has a known census; a
@@ -122,7 +122,7 @@ def test_model_checker_convicts_a_mark_dropping_collector():
             telemetry=False,
         )
 
-    cells = [Cell("marksweep", "eager", 0, False)]
+    cells = [Cell("marksweep", "eager", False)]
     report = run_model_check(max_objects=2, max_edges=2, max_roots=1,
                              cells=cells, vm_factory=factory)
     assert not report.ok

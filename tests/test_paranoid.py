@@ -43,12 +43,6 @@ def test_clean_heap_has_no_paranoid_problems(collector):
     assert verify_heap(vm, raise_on_error=False, paranoid=True) == []
 
 
-def test_iter_spaces_expands_zone_shards():
-    vm = VirtualMachine(heap_bytes=HEAP, gc_workers=2, telemetry=False)
-    names = [name for name, _space in iter_spaces(vm.collector)]
-    assert any("/z" in name for name in names), names
-
-
 # -- each invariant convicts planted damage ---------------------------------------------
 
 
@@ -98,22 +92,6 @@ def test_owned_bit_without_ownee_bit_is_flagged():
     obj.status |= hdr.OWNED_BIT
     problems = paranoid_problems(vm)
     assert any("OWNED bit without the OWNEE bit" in p for p in problems), problems
-
-
-def test_zone_routing_disagreement_is_flagged():
-    vm = VirtualMachine(heap_bytes=HEAP, gc_workers=2, telemetry=False)
-    node = vm.define_class("ZNode", [("v", "int")])
-    with vm.scope("zones"):
-        handles = [vm.new(node, v=i) for i in range(8)]
-        facade = vm.collector.space
-        address = handles[0].address
-        home = facade.zone_of(address)
-        wrong = (home + 1) % len(facade.shards)
-        chunk = address >> 16
-        cell = facade.shards[home]._chunks[chunk].pop(address)
-        facade.shards[wrong]._chunks.setdefault(chunk, {})[address] = cell
-        problems = paranoid_problems(vm)
-        assert any("routes to zone" in p for p in problems), problems
 
 
 # -- the per-GC hooks -------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.tracing import (
     piggyback_report,
     render_piggyback,
     render_span_table,
+    run_top,
     trace_payload,
     validate_chrome_trace,
     write_chrome_trace,
@@ -470,3 +471,25 @@ class TestCliTrace:
         assert "repro top" in out
         assert "pauses:" in out
         assert "hottest phases" in out
+
+    def test_top_second_frame_waits_for_a_collection(self):
+        """A workload slower to its first GC than ``interval`` still gets a
+        second frame that shows that collection, on any host."""
+        import io
+        import time
+
+        vm = VirtualMachine(heap_bytes=1 << 20, tracing=True)
+        node = vm.define_class("TopNode", [("next", "ref")])
+
+        def runner(v):
+            time.sleep(0.05)
+            with v.scope("late"):
+                for _ in range(32):
+                    v.new(node)
+            v.gc("first collection")
+
+        stream = io.StringIO()
+        rc = run_top(vm, runner, interval=0.001, frames=2, stream=stream, ansi=False)
+        assert rc == 0
+        second = stream.getvalue().split("-" * 72)[1]
+        assert "hottest phases" in second
