@@ -20,7 +20,10 @@ registered owner:
   scanned after the owner's scan completes (this is how the paper tolerates
   back edges / overlapping data structures).
 * If an ownee of a *different* owner is reached: issue an improper-use
-  warning (the owner regions are required to be disjoint) and do not mark.
+  warning (the owner regions are required to be disjoint) and keep
+  tracing it as part of the current region, without the ``OWNED`` bit.
+  (Leaving it unmarked, as a literal reading suggests, frees it whenever
+  its only referrers were marked in phase 1: the root scan prunes there.)
 * If a different owner object is reached: mark it and stop — "we will scan
   this owner independently."
 
@@ -120,12 +123,15 @@ def _scan_from_owner(
                 touched.append(address)
                 engine.phase1_visit(obj, record)
                 ownee_queue.append(address)
-            else:
-                # Ownee of a different owner: improper use of the assertion.
-                if address not in misuse_reported:
-                    misuse_reported.add(address)
-                    engine.report_ownership_misuse(obj, record)
-            return
+                return
+            # Ownee of a different owner: improper use of the assertion.
+            if address not in misuse_reported:
+                misuse_reported.add(address)
+                engine.report_ownership_misuse(obj, record)
+            # It is still traced below.  Leaving it unmarked would free a
+            # live object whenever its only referrers were marked here: the
+            # root scan prunes at phase-1 marks and never revisits their
+            # children.
         if (status & hdr.OWNER_BIT) and address != owner_address:
             # Another owner: mark it and stop — it gets its own scan.
             obj.status |= hdr.MARK_BIT

@@ -5,7 +5,8 @@ the best way to help pinpoint the error.  Our reporting strategy is to
 provide the full path through the object graph, from root to the dead
 object." (§2.7)  The path itself comes from the tracer's tagged worklist
 (:meth:`repro.gc.tracer.Tracer.current_path`); this module turns it into the
-report format shown in Figure 1 of the paper:
+report format shown in Figure 1 of the paper, rendered when the log is read
+rather than inside the pause:
 
     Warning: an object that was asserted dead is reachable.
     Type: spec.jbb.Order
@@ -82,8 +83,23 @@ class HeapPath:
 
     @classmethod
     def from_tracer(cls, tracer, tip: Optional[HeapObject]) -> "HeapPath":
+        """The path to ``tip`` on ``tracer``'s worklist -- the one entry point
+        for a violation's path report.  Every path reported from one trace
+        shares a single :class:`PathEntry` per object (entries are
+        immutable), so a report builds entries only for objects no earlier
+        report in that trace has named."""
         root_desc, objects = tracer.current_path(tip)
-        return cls(root_desc, objects)
+        memo = tracer.path_entries
+        entries = []
+        for obj in objects:
+            entry = memo.get(obj.address)
+            if entry is None:
+                entry = memo[obj.address] = PathEntry(obj)
+            entries.append(entry)
+        path = cls.__new__(cls)
+        path.root_description = root_desc
+        path.entries = entries
+        return path
 
     @classmethod
     def from_entries(
@@ -191,21 +207,35 @@ class ViolationLog:
 
     def __init__(self) -> None:
         self.violations: list[Violation] = []
-        self.lines: list[str] = []
+        self._lines: list[str] = []
         self.sinks: list[Callable[[Violation], None]] = []
 
     def record(self, violation: Violation) -> None:
         self.violations.append(violation)
-        self.lines.append(violation.render())
         for sink in self.sinks:
             sink(violation)
+
+    @property
+    def lines(self) -> list[str]:
+        """The Figure-1 text of every violation, rendered on first read.
+
+        Recording happens inside the GC pause, so rendering waits for a
+        reader; each violation is rendered once, the first time ``lines``
+        is read after it was recorded.  The list is the log's own, so a
+        caller that annotates a violation afterwards stores its re-render
+        in place (``log.lines[idx] = violation.render()``).
+        """
+        lines = self._lines
+        if len(lines) < len(self.violations):
+            lines.extend(v.render() for v in self.violations[len(lines):])
+        return lines
 
     def of_kind(self, kind: AssertionKind) -> list[Violation]:
         return [v for v in self.violations if v.kind is kind]
 
     def clear(self) -> None:
         self.violations.clear()
-        self.lines.clear()
+        self._lines.clear()
 
     def __len__(self) -> int:
         return len(self.violations)

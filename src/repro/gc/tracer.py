@@ -13,9 +13,11 @@ object *on* the worklist while its children are being traced:
 
 :meth:`Tracer.current_path` reconstructs that path on demand, which is what
 gives violation reports their Figure-1 root-to-object paths for free.
-:meth:`Tracer.current_path_addresses` is the cheap variant (raw addresses,
-no object materialization) and :meth:`Tracer.path_depth` cheaper still, for
-consumers that only need the length.
+:meth:`Tracer.current_path_addresses` is the variant without a
+``HeapObject`` list and :meth:`Tracer.path_depth` the one for consumers
+that only need the length.  All three read one incremental cache of the
+tagged chain, so a report pays only for the worklist entries pushed since
+the previous report in the same trace (see :meth:`Tracer._sync_path`).
 
 The tracer calls two assertion hooks on an attached engine:
 
@@ -47,6 +49,7 @@ combination and is the "before" leg of the trace microbenchmark
 from __future__ import annotations
 
 import gc as _host_gc
+from bisect import bisect_left
 from typing import Iterable, Optional
 
 from repro.errors import InvalidAddressError
@@ -70,6 +73,11 @@ class Tracer:
         "_stack",
         "_root_descs",
         "_table",
+        "_synced",
+        "_path_positions",
+        "_path_addresses",
+        "_path_objects",
+        "path_entries",
     )
 
     def __init__(
@@ -93,6 +101,7 @@ class Tracer:
         self._stack: list[int] = []
         self._root_descs: dict[int, str] = {}
         self._table = heap.address_table()
+        self._reset_path_cache()
 
     # -- driving the trace -------------------------------------------------------
 
@@ -107,6 +116,7 @@ class Tracer:
         """Seed the worklist from the root set (the first half of
         :meth:`trace`, split out so the span tracer can time the root scan
         and the drain as separate phases without touching either loop)."""
+        self._reset_path_cache()
         sink = self.snapshot
         for description, address in roots:
             if address == NULL:
@@ -650,26 +660,79 @@ class Tracer:
         self._stack.append(obj.address)
 
     # -- path reconstruction -------------------------------------------------------
+    #
+    # Reports reuse the tagged chain from the previous reconstruction.  A
+    # value, tagged or untagged, is pushed at most once per trace (an
+    # address is pushed when first marked, its tagged twin when first
+    # popped), so a position that still holds the value it held at the
+    # last sync was never popped -- and neither was anything below it.
+    # "Unchanged since the last sync" is therefore a prefix property, found
+    # by binary search, and only the entries above that prefix are rescanned.
+
+    def _reset_path_cache(self) -> None:
+        #: The worklist as of the last sync, and the tagged entries in it:
+        #: stack position, address, and dereferenced object.
+        self._synced = []
+        self._path_positions = []
+        self._path_addresses = []
+        self._path_objects = []
+        #: Address -> report entry, filled by
+        #: :meth:`repro.core.reporting.HeapPath.from_tracer` so that every
+        #: path reported from this trace shares one entry per object.
+        self.path_entries = {}
+
+    def _sync_path(self) -> None:
+        """Bring the tagged-entry cache up to date with the worklist."""
+        stack = self._stack
+        synced = self._synced
+        hi = min(len(stack), len(synced))
+        if hi and stack[hi - 1] == synced[hi - 1]:
+            lo = hi
+        else:
+            lo = 0
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if stack[mid] == synced[mid]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+        positions = self._path_positions
+        addresses = self._path_addresses
+        objects = self._path_objects
+        keep = bisect_left(positions, lo)
+        if keep < len(positions):
+            del positions[keep:], addresses[keep:], objects[keep:]
+        get = self.heap.get
+        tag_bit = ADDRESS_TAG_BIT
+        for position in range(lo, len(stack)):
+            entry = stack[position]
+            if entry & tag_bit:
+                address = entry ^ tag_bit
+                positions.append(position)
+                addresses.append(address)
+                objects.append(get(address))
+        synced[lo:] = stack[lo:]
 
     def current_path_addresses(self, tip: Optional[int] = None) -> list[int]:
         """Addresses of the current root-to-object path, root first.
 
-        The cheap variant of :meth:`current_path`: one worklist scan, no
-        heap lookups and no ``HeapObject`` list.  ``tip`` (an address) is
-        appended when it is not already the last tagged entry.
+        The address-only view of :meth:`current_path`.  ``tip`` (an
+        address) is appended when it is not already the last tagged entry.
         """
         if not self.track_paths:
             return [tip] if tip is not None else []
-        tag_bit = ADDRESS_TAG_BIT
-        chain = [entry ^ tag_bit for entry in self._stack if entry & tag_bit]
+        self._sync_path()
+        chain = self._path_addresses[:]
         if tip is not None and (not chain or chain[-1] != tip):
             chain.append(tip)
         return chain
 
     def path_depth(self) -> int:
         """Length of the current path (tagged worklist entries only)."""
-        tag_bit = ADDRESS_TAG_BIT
-        return sum(1 for entry in self._stack if entry & tag_bit)
+        if not self.track_paths:
+            return 0
+        self._sync_path()
+        return len(self._path_addresses)
 
     def current_path(self, tip: Optional[HeapObject] = None):
         """Reconstruct the root-to-current-object path from the worklist.
@@ -680,11 +743,14 @@ class Tracer:
         """
         if not self.track_paths:
             return None, ([tip] if tip is not None else [])
-        heap = self.heap
-        addresses = self.current_path_addresses(tip.address if tip is not None else None)
-        chain = [heap.get(address) for address in addresses]
-        if tip is not None and chain and chain[-1].address == tip.address:
-            chain[-1] = tip
+        self._sync_path()
+        chain = self._path_objects[:]
+        if tip is not None:
+            self.heap.get(tip.address)  # checked: the tip must still be live
+            if chain and self._path_addresses[-1] == tip.address:
+                chain[-1] = tip
+            else:
+                chain.append(tip)
         root_desc = self._root_descs.get(chain[0].address) if chain else None
         return root_desc, chain
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.reporting import AssertionKind
+from repro.gc.verify import verify_heap
 from repro.heap import header as hdr
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
@@ -58,6 +59,32 @@ class TestOwnershipMisuse:
             if v.address == shared.obj.address
         ]
         assert unowned == []
+
+
+    @pytest.mark.parametrize("collector", ["marksweep", "semispace", "generational"])
+    def test_misused_ownee_reached_only_through_a_region_survives(self, collector):
+        """``a`` owns ``b`` and is itself ``c``'s ownee; the only root
+        reaches ``b``, and ``a`` only through ``b``.  Phase 1 marks ``b``
+        from ``a``'s scan, so the root scan never revisits ``b``'s children:
+        ``a`` must be traced despite the misuse, or it is freed while ``b``
+        still points at it."""
+        vm = VirtualMachine(heap_bytes=1 << 20, collector=collector)
+        cls = vm.define_class("N", [("next", FieldKind.REF)])
+        with vm.scope():
+            a, b, c = vm.new(cls), vm.new(cls), vm.new(cls)
+            a["next"] = b
+            b["next"] = a
+            vm.statics.set_ref("b", b.address)
+            vm.assertions.assert_ownedby(a, b)
+            vm.assertions.assert_ownedby(c, a)
+        vm.gc()
+        vm.gc()
+        assert verify_heap(vm) == []
+        b_obj = vm.heap.get(vm.statics.get_ref("b"))
+        a_obj = vm.heap.get(b_obj.slots[0])
+        assert a_obj.slots[0] == b_obj.address
+        misuse = vm.engine.log.of_kind(AssertionKind.OWNERSHIP_MISUSE)
+        assert misuse and misuse[0].address is not None
 
 
 class TestEngineLifecycle:

@@ -1,11 +1,16 @@
 """AssertionRegistry bookkeeping and Violation/HeapPath rendering."""
 
+import hashlib
+
 import pytest
 
 from repro.core.registry import AssertionRegistry, OwnerRecord
 from repro.core.reporting import AssertionKind, HeapPath, Violation, ViolationLog
 from repro.errors import AssertionUsageError
 from repro.heap.object_model import ClassDescriptor, FieldKind, HeapObject
+from repro.runtime.vm import VirtualMachine
+from repro.snapshot import SnapshotPolicy
+from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
 
 
 class TestOwnerRecord:
@@ -159,3 +164,69 @@ class TestReporting:
         log.clear()
         assert len(log) == 0
         assert log.lines == []
+
+
+class TestRenderOnRead:
+    """``ViolationLog.lines`` renders on first read, not inside the pause."""
+
+    def test_lines_match_render_after_record(self):
+        log = ViolationLog()
+        log.record(Violation(AssertionKind.DEAD, "d", obj=_obj("A")))
+        log.record(Violation(AssertionKind.UNSHARED, "u", obj=_obj("B", 0x1008)))
+        assert log.lines == [v.render() for v in log]
+
+    def test_rendering_waits_for_the_first_read(self):
+        log = ViolationLog()
+        violation = Violation(AssertionKind.DEAD, "d", obj=_obj("A"))
+        log.record(violation)
+        violation.details["retained_bytes"] = 96
+        assert "Retained size: 96 bytes" in log.lines[0]
+
+    def test_each_violation_rendered_once(self):
+        log = ViolationLog()
+        log.record(Violation(AssertionKind.DEAD, "first"))
+        first = log.lines[0]
+        log.record(Violation(AssertionKind.DEAD, "second"))
+        assert log.lines[0] is first
+        assert log.lines[1] == log.violations[1].render()
+
+    def test_in_place_rerender_sticks(self):
+        log = ViolationLog()
+        log.record(Violation(AssertionKind.DEAD, "d"))
+        log.lines[0] = "annotated"
+        log.record(Violation(AssertionKind.DEAD, "e"))
+        assert log.lines == ["annotated", log.violations[1].render()]
+
+    def test_clear_resets_rendered_lines(self):
+        log = ViolationLog()
+        log.record(Violation(AssertionKind.DEAD, "old"))
+        log.record(Violation(AssertionKind.DEAD, "older"))
+        assert len(log.lines) == 2
+        log.clear()
+        assert log.lines == []
+        fresh = Violation(AssertionKind.UNSHARED, "new")
+        log.record(fresh)
+        assert log.lines == [fresh.render()]
+
+    def test_annotated_snapshot_details_reach_lines(self, tmp_path):
+        vm = VirtualMachine(heap_bytes=4 << 20)
+        SnapshotPolicy(str(tmp_path), on_violation=True).attach(vm)
+        run_swapleak(vm, SwapLeakConfig(swaps=8))
+        log = vm.engine.log
+        assert len(log) > 0
+        for violation, line in zip(log, log.lines):
+            assert line == violation.render()
+            assert "Retained size:" in line
+            assert "Dominator chain:" in line
+
+    def test_swapleak_violation_lines_are_byte_identical(self):
+        """The SwapLeak report text is pinned: 224 violations whose digest
+        was recorded from the eager-rendering implementation."""
+        vm = VirtualMachine(heap_bytes=4 << 20)
+        run_swapleak(vm, SwapLeakConfig(swaps=64, gc_every_swaps=16))
+        lines = vm.violation_lines()
+        blob = "\n\x00".join(lines).encode()
+        assert len(lines) == 224
+        assert hashlib.sha256(blob).hexdigest() == (
+            "6b04e79e0ade326ece1fc7f903430c2250d66868c1a0f4d4fa2afd635efe05d0"
+        )

@@ -1,9 +1,20 @@
 """The §2.7 path-tracking worklist: full root-to-object paths."""
 
-import pytest
+from contextlib import contextmanager
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.reporting import AssertionKind, HeapPath, PathEntry
+from repro.errors import InvalidAddressError
+from repro.gc.stats import GcStats
+from repro.gc.tracer import Tracer
+from repro.heap import header as hdr
+from repro.heap.layout import ADDRESS_TAG_BIT, NULL
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
+from repro.verify.modelcheck import default_cells
 from tests.conftest import build_chain, make_node_class
 
 
@@ -127,12 +138,9 @@ class _PathProbe:
 
 
 class TestCheapPathApi:
-    """current_path_addresses/path_depth: the no-materialization variants."""
+    """current_path_addresses/path_depth: the address-only and length-only views."""
 
     def _trace_with_probe(self, vm):
-        from repro.gc.stats import GcStats
-        from repro.gc.tracer import Tracer
-
         probe = _PathProbe()
         tracer = Tracer(vm.heap, GcStats(), probe, track_paths=True)
         tracer.trace(vm.root_entries())
@@ -167,9 +175,6 @@ class TestCheapPathApi:
         assert tracer.path_depth() == 0
 
     def test_tracking_disabled_returns_just_the_tip(self, vm, node_class):
-        from repro.gc.stats import GcStats
-        from repro.gc.tracer import Tracer
-
         tracer = Tracer(vm.heap, GcStats(), None, track_paths=False)
         assert tracer.current_path_addresses(0x1000) == [0x1000]
         assert tracer.current_path_addresses() == []
@@ -192,3 +197,318 @@ class TestBaseConfigurationHasNoInfrastructure:
         build_chain(base_vm, cls, 6)
         base_vm.gc()
         assert base_vm.stats.header_bit_checks == 0
+
+
+# -- incremental path cache vs. a full worklist scan -----------------------------
+
+#: The model checker's collector configurations (its cells minus the
+#: assertions on/off axis: path reports need the assertion engine).
+COLLECTOR_CELLS = sorted({(cell.collector, cell.sweep_mode) for cell in default_cells()})
+
+N_OBJECTS = 8
+N_FIELDS = 2
+
+
+def reference_path(tracer, tip_address=None):
+    """The §2.7 reconstruction done the slow way: scan the whole worklist
+    for tagged entries, then append the tip unless it is already last."""
+    chain = [e ^ ADDRESS_TAG_BIT for e in tracer._stack if e & ADDRESS_TAG_BIT]
+    if tip_address is not None and (not chain or chain[-1] != tip_address):
+        chain.append(tip_address)
+    return chain
+
+
+class _PushOnceStack(list):
+    """A worklist that fails the trace if any value, tagged or untagged, is
+    pushed twice -- the invariant the incremental cache rests on."""
+
+    def __init__(self):
+        super().__init__()
+        self.pushed = set()
+
+    def append(self, value):
+        assert value not in self.pushed, f"{value:#x} pushed twice in one trace"
+        self.pushed.add(value)
+        super().append(value)
+
+
+def check_against_reference(tracer, tip):
+    """Every cached path view equals the full-scan reference right now."""
+    tip_address = tip.address if tip is not None else None
+    expected = reference_path(tracer, tip_address)
+    assert tracer.current_path_addresses(tip_address) == expected
+    assert tracer.path_depth() == len(reference_path(tracer))
+    root_desc, objects = tracer.current_path(tip)
+    assert [obj.address for obj in objects] == expected
+    assert root_desc == (tracer._root_descs.get(expected[0]) if expected else None)
+    if tip is not None and objects:
+        assert objects[-1] is tip
+    return expected
+
+
+@contextmanager
+def checked_reports():
+    """Route every path report through the full-scan reference.
+
+    Each trace's worklist asserts the push-once invariant, and each
+    :meth:`HeapPath.from_tracer` result is compared with the reference:
+    addresses, root description, entry fields, and entry sharing.
+    """
+    reports = []
+    original_scan = Tracer.scan_roots
+    original_report = HeapPath.from_tracer.__func__
+
+    def scan_roots(self, roots):
+        self._stack = _PushOnceStack()
+        original_scan(self, roots)
+
+    def from_tracer(cls, tracer, tip):
+        path = original_report(cls, tracer, tip)
+        expected = check_against_reference(tracer, tip)
+        assert [entry.address for entry in path.entries] == expected
+        assert path.root_description == tracer._root_descs.get(expected[0])
+        for entry in path.entries:
+            fresh = PathEntry(tracer.heap.get(entry.address))
+            assert (entry.type_name, entry.identity_hash) == (
+                fresh.type_name,
+                fresh.identity_hash,
+            )
+            assert tracer.path_entries[entry.address] is entry
+        reports.append((tracer, tip.address, path))
+        return path
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tracer, "scan_roots", scan_roots)
+        patch.setattr(HeapPath, "from_tracer", classmethod(from_tracer))
+        yield reports
+
+
+class _ReferenceProbe:
+    """Hook engine that checks the cache at every encounter of a trace, or
+    only at the encounters of the addresses in ``only``."""
+
+    def __init__(self, only=None):
+        self.only = only
+        self.paths = []
+
+    @property
+    def depths(self):
+        return [len(path) for path in self.paths]
+
+    def on_first_encounter(self, obj, tracer, parent):
+        if self.only is None or obj.address in self.only:
+            self.paths.append(check_against_reference(tracer, obj))
+
+    on_repeat_encounter = on_first_encounter
+
+
+def _cell_vm(collector, sweep_mode, **kwargs):
+    if collector != "semispace":
+        kwargs["sweep_mode"] = sweep_mode
+    return VirtualMachine(heap_bytes=1 << 20, collector=collector, telemetry=False, **kwargs)
+
+
+def _graph_class(vm):
+    return vm.define_class(
+        "G", [(f"f{i}", FieldKind.REF) for i in range(N_FIELDS)] + [("id", FieldKind.INT)]
+    )
+
+
+def _probe_trace(vm, tracer=None, roots=None, only=None):
+    probe = _ReferenceProbe(only)
+    if tracer is None:
+        tracer = Tracer(vm.heap, GcStats(), probe, track_paths=True)
+    else:
+        tracer.engine = probe
+    tracer._stack = _PushOnceStack()
+    tracer.trace(vm.root_entries() if roots is None else roots)
+    return probe, tracer
+
+
+def _clear_marks(vm):
+    for obj in vm.heap:
+        obj.status &= ~(hdr.MARK_BIT | hdr.OWNED_BIT)
+
+
+edge_strategy = st.lists(
+    st.tuples(
+        st.integers(0, N_OBJECTS - 1),
+        st.integers(0, N_FIELDS - 1),
+        st.integers(0, N_OBJECTS - 1),
+    ),
+    max_size=20,
+)
+index_set = st.sets(st.integers(0, N_OBJECTS - 1), max_size=3)
+
+
+@pytest.mark.parametrize("collector,sweep_mode", COLLECTOR_CELLS)
+@given(
+    edges=edge_strategy,
+    roots=st.sets(st.integers(0, N_OBJECTS - 1), min_size=1, max_size=3),
+    dead=index_set,
+    unshared=index_set,
+    owned=st.lists(
+        st.tuples(st.integers(0, N_OBJECTS - 1), st.integers(0, N_OBJECTS - 1)),
+        max_size=2,
+    ),
+    dropped=index_set,
+)
+@settings(
+    max_examples=25,
+    deadline=None,
+    report_multiple_bugs=False,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_reported_paths_match_full_scan(
+    collector, sweep_mode, edges, roots, dead, unshared, owned, dropped
+):
+    """Random heap graphs: every report of two collections (dead, unshared
+    second path, unowned ownee) equals the full-scan reference, and so
+    does the cache at every encounter of a probe trace."""
+    vm = _cell_vm(collector, sweep_mode)
+    cls = _graph_class(vm)
+    with vm.scope("graph"):
+        handles = [vm.new(cls, id=i) for i in range(N_OBJECTS)]
+        for src, field, dst in edges:
+            handles[src][f"f{field}"] = handles[dst]
+        for r in roots:
+            vm.statics.set_ref(f"root{r}", handles[r].address)
+        for i in dead:
+            vm.assertions.assert_dead(handles[i], site=f"dead{i}")
+        for i in unshared:
+            vm.assertions.assert_unshared(handles[i], site=f"unshared{i}")
+        claimed = set()
+        for owner, ownee in owned:
+            if owner != ownee and ownee not in claimed:
+                claimed.add(ownee)
+                vm.assertions.assert_ownedby(handles[owner], handles[ownee])
+    # Out of the scope the handles no longer root anything: paths run from
+    # the statics through the random edges.
+    probe, _tracer = _probe_trace(vm)
+    assert len(probe.depths) >= len(roots)
+    _clear_marks(vm)
+
+    with checked_reports() as reports:
+        vm.gc()
+        for r in dropped & roots:
+            vm.statics.set_ref(f"root{r}", NULL)
+        vm.gc()
+    with_paths = [v for v in vm.engine.log if v.path is not None and len(v.path)]
+    assert len(reports) == len(with_paths)
+
+
+@pytest.mark.parametrize("collector,sweep_mode", COLLECTOR_CELLS)
+def test_every_report_kind_is_checked(collector, sweep_mode):
+    """One heap that raises a dead, an unshared and an unowned-ownee report."""
+    vm = _cell_vm(collector, sweep_mode)
+    cls = _graph_class(vm)
+    with vm.scope("kinds"):
+        a, b, c, shared, dead, owner, ownee = [vm.new(cls, id=i) for i in range(7)]
+        a["f0"], a["f1"] = b, c
+        b["f0"] = c["f0"] = shared
+        shared["f0"] = dead
+        vm.statics.set_ref("a", a.address)
+        vm.statics.set_ref("owner", owner.address)
+        vm.statics.set_ref("stray", ownee.address)
+        vm.assertions.assert_unshared(shared, site="shared")
+        vm.assertions.assert_dead(dead, site="dead")
+        vm.assertions.assert_ownedby(owner, ownee)
+    with checked_reports() as reports:
+        vm.gc()
+    log = vm.engine.log
+    assert sorted(v.kind.value for v in log) == [
+        "assert-dead",
+        "assert-ownedby",
+        "assert-unshared",
+    ]
+    assert len(reports) == 3
+    names = {v.kind: v.path.type_names() for v in log}
+    assert names[AssertionKind.DEAD] == ["G"] * 4
+    assert names[AssertionKind.UNSHARED] == ["G"] * 3
+    assert names[AssertionKind.OWNED_BY] == ["G"]
+    # The dead and unshared paths both run through a and shared: one entry each.
+    by_address = {}
+    for _tracer, _tip, path in reports:
+        for entry in path.entries:
+            assert by_address.setdefault(entry.address, entry) is entry
+
+
+class TestIncrementalPathCache:
+    def test_cache_outlives_deep_pops_and_repushes(self, vm):
+        """Two deep chains from two roots: the cache syncs at depth 40,
+        the worklist drains to the roots, and a second chain is pushed over
+        the positions the first one used."""
+        cls = _graph_class(vm)
+        with vm.scope("chains"):
+            for name in ("left", "right"):
+                prev = None
+                for i in range(40):
+                    node = vm.new(cls, id=i)
+                    if prev is None:
+                        vm.statics.set_ref(name, node.address)
+                    else:
+                        prev["f0"] = node
+                        prev["f1"] = node  # a repeat encounter at every depth
+                    prev = node
+        probe, tracer = _probe_trace(vm)
+        depths = probe.depths
+        deepest = depths.index(40)
+        # Back to the second root's first child, then all the way down again.
+        shallow = depths.index(2, deepest)
+        assert max(depths[shallow:]) == 40
+        assert tracer.path_depth() == 0
+        assert tracer.current_path_addresses() == []
+
+    def test_fresh_scan_roots_starts_a_new_cache(self, vm):
+        """The same tracer re-run from different roots, reporting only at
+        ``leaf``: position 1 holds the same tagged entry in both traces
+        while position 0 differs, so a cache kept across traces would
+        report the first trace's root."""
+        cls = _graph_class(vm)
+        with vm.scope("retrace"):
+            first, second, shared, leaf = [vm.new(cls, id=i) for i in range(4)]
+            first["f0"] = shared
+            second["f0"] = shared
+            shared["f0"] = leaf
+            only = {leaf.address}
+            probe, tracer = _probe_trace(vm, roots=[("first", first.address)], only=only)
+            assert probe.paths == [[h.address for h in (first, shared, leaf)]]
+            _clear_marks(vm)
+            probe, tracer = _probe_trace(
+                vm, tracer, roots=[("second", second.address)], only=only
+            )
+            assert probe.paths == [[h.address for h in (second, shared, leaf)]]
+
+    def test_retry_tracer_after_a_mid_mark_fault(self):
+        """A hardened collection whose first mark faults after one report
+        re-marks with a fresh tracer; the retry's reports are checked
+        against its own worklist, not the abandoned tracer's cache."""
+        vm = VirtualMachine(heap_bytes=1 << 20, hardened=True)
+        nodes = build_chain(vm, make_node_class(vm), 5)
+        vm.assertions.assert_dead(nodes[2], site="mid")
+        vm.assertions.assert_dead(nodes[4], site="tail")
+        with checked_reports() as reports:
+            checked = HeapPath.from_tracer.__func__
+            faulted = []
+
+            def faulting(cls_, tracer, tip):
+                path = checked(cls_, tracer, tip)
+                if not faulted:
+                    faulted.append(tracer)
+                    raise InvalidAddressError("injected mid-mark fault")
+                return path
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(HeapPath, "from_tracer", classmethod(faulting))
+                vm.gc()
+        assert vm.collector.recovery.heap_degradations == 1
+        tracers = [tracer for tracer, _tip, _path in reports]
+        assert tracers[0] is faulted[0]
+        assert all(tracer is not faulted[0] for tracer in tracers[1:])
+        assert len(reports) == 3
+        log = vm.engine.log
+        assert sorted(v.site for v in log) == ["mid", "tail"]
+        for violation in log:
+            assert violation.path.type_names() == ["Node"] * (
+                3 if violation.site == "mid" else 5
+            )
