@@ -18,55 +18,24 @@ ablation, not just a broken viewer.
 from __future__ import annotations
 
 from benchmarks.conftest import trials
-from benchmarks.test_ablation_service import MAX_GC_TIME_RATIO, WORKLOAD, _run_direct
-from repro.bench.methodology import confidence_interval_90, mean
-from repro.service import AssertionService, ServiceClient, ServiceConfig
-from repro.tracing.distributed import TraceContext, request_rows
-from repro.tracing.export import validate_chrome_trace
-
-
-def _run_traced(service: AssertionService):
-    with ServiceClient("127.0.0.1", service.port, trace=TraceContext.new()) as client:
-        client.hello()
-        opened = client.open("bench", WORKLOAD)
-        assert opened["type"] == "opened", opened
-        result = client.submit(opened["session"])
-        assert result["type"] == "result", result
-        client.close_session(opened["session"])
-    assert result["outcome"] == "completed", result
-    assert client.frames_missed == 0
-    return result["gc_seconds"], result["counters"], result["violations"]
+from benchmarks.test_ablation_service import MAX_GC_TIME_RATIO, WORKLOAD
+from repro.bench.perf import FEATURES, render_ablation, run_ablation
 
 
 def test_dtrace_counter_identity_and_overhead(once, figure_report):
-    def run():
-        direct = [_run_direct() for _ in range(trials())]
-        config = ServiceConfig(http_port=None, tracing=True)
-        with AssertionService(config) as service:
-            traced = [_run_traced(service) for _ in range(trials())]
-            payload = service.merged_trace_payload()
-            rows = request_rows(service.tracer)
-        return direct, traced, payload, rows
-
-    direct, traced, payload, rows = once(run)
-    direct_times = [t for t, _c, _v in direct]
-    traced_times = [t for t, _c, _v in traced]
-    ratio = mean(traced_times) / mean(direct_times)
+    result = once(run_ablation, "abl-dtrace", workload=WORKLOAD, trials=trials())
     figure_report.append(
-        f"Ablation abl-dtrace (direct VM vs traced server, '{WORKLOAD}'):\n"
-        f"  direct: {mean(direct_times) * 1e3:.1f} ms ±{confidence_interval_90(direct_times) * 1e3:.1f}\n"
-        f"  traced: {mean(traced_times) * 1e3:.1f} ms ±{confidence_interval_90(traced_times) * 1e3:.1f}\n"
-        f"  ratio:  {ratio:.3f} (asserted <={MAX_GC_TIME_RATIO} for scheduling noise)\n"
-        f"  export: {len(payload['traceEvents'])} events, "
-        f"{len(rows)} request spans, 0 validation problems"
+        render_ablation(result, FEATURES["abl-dtrace"].title)
+        + f"\n  (asserted <={MAX_GC_TIME_RATIO} for scheduling noise)"
     )
-    assert ratio < MAX_GC_TIME_RATIO
+    assert result["ratio"] < MAX_GC_TIME_RATIO
 
     # The hard gate: tracing on over the wire == tracing off on a bare VM.
-    assert traced[0][1] == direct[0][1]
-    assert traced[0][2] == direct[0][2]
+    assert result["counters_match"]
+    assert result["completed"]
+    assert result["frames_missed"] == 0
 
     # And the observability artifact itself is sound.
-    assert validate_chrome_trace(payload) == []
-    assert all(row["outcome"] == "completed" for row in rows)
-    assert len(rows) == trials()
+    assert result["trace_valid"]
+    assert result["requests_completed"]
+    assert result["request_spans"] == trials()

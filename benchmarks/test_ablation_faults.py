@@ -12,11 +12,10 @@ that triggers any hardening machinery before its first fault is a bug.
 from __future__ import annotations
 
 from benchmarks.conftest import trials
-from repro.bench.methodology import confidence_interval_90, mean
+from repro.bench.perf import FEATURES, render_ablation, run_ablation
 from repro.faults import FaultInjector, FaultPlan
 from repro.runtime.vm import VirtualMachine
 from repro.workloads.suite import HEAP_BUDGETS
-from repro.workloads.synthetic import PROFILES, run_synthetic
 
 PROFILE = "bloat"  # the GC-heaviest suite member, as in abl-tracing
 
@@ -26,45 +25,22 @@ PROFILE = "bloat"  # the GC-heaviest suite member, as in abl-tracing
 MAX_GC_TIME_RATIO = 1.5
 
 
-def _run(armed: bool):
-    vm = VirtualMachine(
-        heap_bytes=HEAP_BUDGETS[PROFILE], assertions=False, telemetry=False
-    )
-    injector = FaultInjector(vm, FaultPlan()).attach() if armed else None
-    run_synthetic(vm, PROFILES[PROFILE])
-    vm.collector.sweep_all()
-    recovery = vm.collector.recovery.total()
-    if injector is not None:
-        assert injector.applied == []  # empty plan: nothing ever fires
-        injector.detach()
-    return vm.stats.gc_seconds, vm.stats.snapshot(), recovery
-
-
 def test_fault_injector_overhead(once, figure_report):
-    def run():
-        armed = [_run(True) for _ in range(trials())]
-        plain = [_run(False) for _ in range(trials())]
-        return armed, plain
-
-    armed, plain = once(run)
-    on_times = [t for t, _s, _r in armed]
-    off_times = [t for t, _s, _r in plain]
-    ratio = mean(on_times) / mean(off_times)
+    result = once(run_ablation, "abl-faults", workload=PROFILE, trials=trials())
     figure_report.append(
-        "Ablation abl-faults (armed empty-plan injector on/off, GC time on 'bloat'):\n"
-        f"  off:   {mean(off_times) * 1e3:.1f} ms ±{confidence_interval_90(off_times) * 1e3:.1f}\n"
-        f"  armed: {mean(on_times) * 1e3:.1f} ms ±{confidence_interval_90(on_times) * 1e3:.1f}\n"
-        f"  ratio: {ratio:.3f} (target <=1.02, asserted <=1.5 for CI noise)"
+        render_ablation(result, FEATURES["abl-faults"].title)
+        + "\n  (target <=1.02, asserted <=1.5 for CI noise)"
     )
-    assert ratio < MAX_GC_TIME_RATIO
+    assert result["ratio"] < MAX_GC_TIME_RATIO
 
     # The injector observes allocations without changing them: every
     # deterministic work counter is identical whether it is attached or not.
-    assert armed[0][1]["counters"] == plain[0][1]["counters"]
+    assert result["counters_match"]
 
-    # And no hardening machinery ever engaged — recovery counters all zero.
-    assert armed[0][2] == 0
-    assert plain[0][2] == 0
+    # Empty plan: nothing ever fires, and no hardening machinery ever
+    # engaged on either leg -- recovery counters all zero.
+    assert result["faults_applied"] == 0
+    assert result["recovery_activity"] == 0
 
 
 def test_detach_restores_the_original_allocate(once):

@@ -12,8 +12,7 @@ observes collections, it must never change them.
 from __future__ import annotations
 
 from benchmarks.conftest import trials
-from repro.bench.methodology import confidence_interval_90, mean
-from repro.monitor import MonitorHub, default_slos
+from repro.bench.perf import FEATURES, render_ablation, run_ablation
 from repro.runtime.vm import VirtualMachine
 from repro.workloads.suite import HEAP_BUDGETS
 from repro.workloads.synthetic import PROFILES, run_synthetic
@@ -26,42 +25,25 @@ PROFILE = "bloat"  # the GC-heaviest suite member, as in abl-tracing
 MAX_GC_TIME_RATIO = 1.5
 
 
-def _run(armed: bool):
-    vm = VirtualMachine(
-        heap_bytes=HEAP_BUDGETS[PROFILE], assertions=False, telemetry=True
-    )
-    hub = MonitorHub(default_slos()).attach(vm) if armed else None
-    run_synthetic(vm, PROFILES[PROFILE])
-    vm.collector.sweep_all()
-    if hub is not None:
-        assert hub.gc_events_seen == vm.stats.collections
-        # A healthy synthetic run must not page: the catalog's alerts are
-        # for real incidents, not for the benchmark harness itself.
-        assert not [a for a in hub.alerts if a.objective == "no-degradation"]
-    return vm.stats.gc_seconds, vm.stats.snapshot()
-
-
 def test_monitor_hub_overhead(once, figure_report):
-    def run():
-        armed = [_run(True) for _ in range(trials())]
-        plain = [_run(False) for _ in range(trials())]
-        return armed, plain
-
-    armed, plain = once(run)
-    on_times = [t for t, _s in armed]
-    off_times = [t for t, _s in plain]
-    ratio = mean(on_times) / mean(off_times)
+    result = once(run_ablation, "abl-monitor", workload=PROFILE, trials=trials())
     figure_report.append(
-        "Ablation abl-monitor (SLO-armed monitor hub on/off, GC time on 'bloat'):\n"
-        f"  off:   {mean(off_times) * 1e3:.1f} ms ±{confidence_interval_90(off_times) * 1e3:.1f}\n"
-        f"  armed: {mean(on_times) * 1e3:.1f} ms ±{confidence_interval_90(on_times) * 1e3:.1f}\n"
-        f"  ratio: {ratio:.3f} (target <=1.05, asserted <=1.5 for CI noise)"
+        render_ablation(result, FEATURES["abl-monitor"].title)
+        + "\n  (target <=1.05, asserted <=1.5 for CI noise)"
     )
-    assert ratio < MAX_GC_TIME_RATIO
+    assert result["ratio"] < MAX_GC_TIME_RATIO
 
     # The hub observes collections without changing them: every
     # deterministic work counter is identical whether it is attached or not.
-    assert armed[0][1]["counters"] == plain[0][1]["counters"]
+    assert result["counters_match"]
+
+    armed = result["legs"]["armed"]
+    assert all(
+        e["gc_events_seen"] == armed["counters"]["collections"] for e in armed["extras"]
+    )
+    # A healthy synthetic run must not page: the catalog's alerts are for
+    # real incidents, not for the benchmark harness itself.
+    assert result["degradation_alerts"] == 0
 
 
 def test_monitor_off_leaves_no_trace(once):

@@ -11,58 +11,28 @@ exactly this reason), and a clean workload must finish with zero
 
 from __future__ import annotations
 
-import time
-
 from benchmarks.conftest import trials
-from repro.bench.methodology import confidence_interval_90, mean
+from repro.bench.perf import FEATURES, render_ablation, run_ablation
 from repro.runtime.vm import VirtualMachine
 from repro.workloads.suite import HEAP_BUDGETS
-from repro.workloads.synthetic import PROFILES, run_synthetic
 
 PROFILE = "bloat"  # the GC-heaviest suite member, as in abl-tracing
 
 
-def _run(paranoid: bool):
-    vm = VirtualMachine(
-        heap_bytes=HEAP_BUDGETS[PROFILE],
-        assertions=False,
-        telemetry=False,
-        paranoid=paranoid,
-    )
-    start = time.perf_counter()
-    run_synthetic(vm, PROFILES[PROFILE])
-    vm.collector.sweep_all()
-    wall = time.perf_counter() - start
-    return wall, vm.stats.snapshot(), vm.collector.paranoid_walks
-
-
 def test_paranoid_walker_is_observational(once, figure_report):
-    def run():
-        on = [_run(True) for _ in range(trials())]
-        off = [_run(False) for _ in range(trials())]
-        return on, off
-
-    on, off = once(run)
-    on_times = [t for t, _s, _w in on]
-    off_times = [t for t, _s, _w in off]
-    ratio = mean(on_times) / mean(off_times)
+    result = once(run_ablation, "abl-paranoid", workload=PROFILE, trials=trials())
     figure_report.append(
-        "Ablation abl-paranoid (per-GC wellformedness walks on/off, "
-        "wall time on 'bloat'):\n"
-        f"  off:      {mean(off_times) * 1e3:.1f} ms "
-        f"±{confidence_interval_90(off_times) * 1e3:.1f}\n"
-        f"  paranoid: {mean(on_times) * 1e3:.1f} ms "
-        f"±{confidence_interval_90(on_times) * 1e3:.1f}\n"
-        f"  ratio: {ratio:.3f} ({on[0][2]} walks; counter identity is the gate)"
+        render_ablation(result, FEATURES["abl-paranoid"].title)
+        + "\n  (counter identity is the gate)"
     )
 
     # The walker observes; it must never change what the collector does.
-    assert on[0][1]["counters"] == off[0][1]["counters"]
+    assert result["counters_match"]
 
     # Walks actually happened on the paranoid leg (pre+post per full GC)
     # and never on the plain leg.
-    assert on[0][2] > 0
-    assert off[0][2] == 0
+    assert result["paranoid_walks"] > 0
+    assert all(e["paranoid_walks"] == 0 for e in result["legs"]["off"]["extras"])
 
 
 def test_paranoid_off_has_no_walker_attribute_cost(once):

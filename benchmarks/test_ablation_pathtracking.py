@@ -4,55 +4,38 @@
 "with no measurable overhead".  The mechanism costs one extra pop per
 traced object (the tagged re-push); this ablation measures the GC-time
 delta with tracking on vs off, plus the deterministic pop-count delta.
+Both legs run engine-free, so they execute the plain and the paths drain,
+two loops that differ only by the tag.
 """
 
 from __future__ import annotations
 
 from benchmarks.conftest import trials
-from repro.bench.methodology import confidence_interval_90, mean
+from repro.bench.perf import FEATURES, render_ablation, run_ablation
 from repro.runtime.vm import VirtualMachine
-from repro.workloads.synthetic import PROFILES, run_synthetic
-from repro.workloads.suite import HEAP_BUDGETS
 
 PROFILE = "bloat"  # the GC-heaviest suite member
 
 
-def _gc_time(track_paths: bool) -> tuple[float, dict]:
-    vm = VirtualMachine(
-        heap_bytes=HEAP_BUDGETS[PROFILE], assertions=True, track_paths=track_paths
-    )
-    run_synthetic(vm, PROFILES[PROFILE])
-    return vm.stats.gc_seconds, vm.stats.snapshot()
-
-
 def test_path_tracking_overhead(once, figure_report):
-    def run():
-        on = [_gc_time(True) for _ in range(trials())]
-        off = [_gc_time(False) for _ in range(trials())]
-        return on, off
-
-    on, off = once(run)
-    on_times = [t for t, _s in on]
-    off_times = [t for t, _s in off]
-    ratio = mean(on_times) / mean(off_times)
+    result = once(run_ablation, "abl-path", workload=PROFILE, trials=trials())
     figure_report.append(
-        "Ablation abl-path (path tracking on/off, GC time on 'bloat'):\n"
-        f"  off: {mean(off_times) * 1e3:.1f} ms ±{confidence_interval_90(off_times) * 1e3:.1f}\n"
-        f"  on:  {mean(on_times) * 1e3:.1f} ms ±{confidence_interval_90(on_times) * 1e3:.1f}\n"
-        f"  ratio: {ratio:.3f} (paper: 'no measurable overhead')"
+        render_ablation(result, FEATURES["abl-path"].title)
+        + "\n  (paper: 'no measurable overhead')"
     )
     # Shape: cheap — far below a 2x slowdown even in pure Python, where the
     # extra pop is proportionally much more expensive than in Jikes.
-    assert ratio < 2.0
+    assert result["ratio"] < 2.0
 
-    on_stats = on[0][1]["counters"]
-    off_stats = off[0][1]["counters"]
-    # Identical collection work...
-    assert on_stats["objects_traced"] == off_stats["objects_traced"]
-    assert on_stats["collections"] == off_stats["collections"]
+    # Identical collection work (every counter but the tag count)...
+    assert result["counters_match"]
     # ...the only mechanical difference is the tagged re-push per object.
-    assert on_stats["path_entries_tagged"] == on_stats["objects_traced"]
-    assert off_stats["path_entries_tagged"] == 0
+    on, off = result["legs"]["on"], result["legs"]["off"]
+    assert all(
+        e["path_entries_tagged"] == on["counters"]["objects_traced"]
+        for e in on["extras"]
+    )
+    assert all(e["path_entries_tagged"] == 0 for e in off["extras"])
 
 
 def test_path_quality_not_free_of_value(once):

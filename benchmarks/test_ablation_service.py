@@ -17,82 +17,25 @@ work).  The counter-identity assertion is the hard gate.
 from __future__ import annotations
 
 from benchmarks.conftest import trials
-from repro.bench.methodology import confidence_interval_90, mean
-from repro.runtime.vm import VirtualMachine
-from repro.service import AssertionService, ServiceClient, ServiceConfig
-from repro.workloads.suite import build_suite
+from repro.bench.perf import FEATURES, render_ablation, run_ablation
 
-WORKLOAD = "pseudojbb"
+WORKLOAD = "bloat"  # the GC-heaviest suite member, as in abl-path
 
 #: GC-time bound for the served leg; generous because the comparison is
 #: between two runs of the same collector on different threads.
 MAX_GC_TIME_RATIO = 1.5
 
 
-def _run_direct():
-    entry = build_suite()[WORKLOAD]
-    vm = VirtualMachine(
-        heap_bytes=entry.heap_bytes,
-        collector="marksweep",
-        assertions=True,
-        telemetry=True,
-        hardened=True,
-        max_heap_bytes=entry.heap_bytes * 2,
-    )
-    runner = entry.run_with_assertions or entry.run
-    runner(vm)
-    vm.collector.sweep_all()
-    snapshot = vm.stats.snapshot()
-    return vm.stats.gc_seconds, snapshot["counters"], vm.violation_lines()
-
-
-def _run_served(service: AssertionService):
-    with ServiceClient("127.0.0.1", service.port) as client:
-        client.hello()
-        opened = client.open("bench", WORKLOAD)
-        assert opened["type"] == "opened", opened
-        collected: list[dict] = []
-        result = client.submit(opened["session"], collect=collected)
-        assert result["type"] == "result", result
-        client.close_session(opened["session"])
-    assert result["outcome"] == "completed", result
-    return result["gc_seconds"], result["counters"], result["violations"]
-
-
 def test_service_counter_identity_and_overhead(once, figure_report):
-    def run():
-        direct = [_run_direct() for _ in range(trials())]
-        config = ServiceConfig(http_port=None)
-        with AssertionService(config) as service:
-            served = [_run_served(service) for _ in range(trials())]
-        return direct, served
-
-    direct, served = once(run)
-    direct_times = [t for t, _c, _v in direct]
-    served_times = [t for t, _c, _v in served]
-    ratio = mean(served_times) / mean(direct_times)
+    result = once(run_ablation, "abl-service", workload=WORKLOAD, trials=trials())
     figure_report.append(
-        f"Ablation abl-service (direct VM vs repro-wire/1 server, '{WORKLOAD}'):\n"
-        f"  direct: {mean(direct_times) * 1e3:.1f} ms ±{confidence_interval_90(direct_times) * 1e3:.1f}\n"
-        f"  served: {mean(served_times) * 1e3:.1f} ms ±{confidence_interval_90(served_times) * 1e3:.1f}\n"
-        f"  ratio:  {ratio:.3f} (asserted <={MAX_GC_TIME_RATIO} for scheduling noise)"
+        render_ablation(result, FEATURES["abl-service"].title)
+        + f"\n  (asserted <={MAX_GC_TIME_RATIO} for scheduling noise)"
     )
-    assert ratio < MAX_GC_TIME_RATIO
+    assert result["ratio"] < MAX_GC_TIME_RATIO
 
     # The hard gate: a tenant run through the server is bit-identical to
-    # the same workload run directly — counters and violation log both.
-    assert served[0][1] == direct[0][1]
-    assert served[0][2] == direct[0][2]
-
-
-def test_service_run_is_deterministic_across_sessions(once):
-    """Two sessions of the same workload agree with each other too."""
-
-    def run():
-        config = ServiceConfig(http_port=None)
-        with AssertionService(config) as service:
-            return _run_served(service), _run_served(service)
-
-    first, second = once(run)
-    assert first[1] == second[1]
-    assert first[2] == second[2]
+    # the same workload run directly — counters and violation log both —
+    # in every trial, so the served sessions also agree with each other.
+    assert result["counters_match"]
+    assert result["completed"]

@@ -12,13 +12,9 @@ path could reach.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-
 from benchmarks.conftest import trials
-from repro.bench.methodology import confidence_interval_90, mean
+from repro.bench.perf import FEATURES, render_ablation, run_ablation
 from repro.runtime.vm import VirtualMachine
-from repro.snapshot import SnapshotPolicy
 from repro.workloads.suite import HEAP_BUDGETS
 from repro.workloads.synthetic import PROFILES, run_synthetic
 
@@ -30,50 +26,21 @@ PROFILE = "bloat"  # the GC-heaviest suite member, as in abl-path
 MAX_GC_TIME_RATIO = 1.5
 
 
-def _run(capture: bool):
-    vm = VirtualMachine(
-        heap_bytes=HEAP_BUDGETS[PROFILE], assertions=False, telemetry=False
-    )
-    tmpdir = None
-    policy = None
-    if capture:
-        tmpdir = tempfile.mkdtemp(prefix="repro-abl-snapshot-")
-        policy = SnapshotPolicy(tmpdir, every_n_gcs=1).attach(vm)
-    try:
-        run_synthetic(vm, PROFILES[PROFILE])
-        vm.collector.sweep_all()
-        snapshots = len(policy.captured) if policy is not None else 0
-        return vm.stats.gc_seconds, vm.stats.snapshot(), snapshots
-    finally:
-        if tmpdir is not None:
-            shutil.rmtree(tmpdir, ignore_errors=True)
-
-
 def test_snapshot_capture_overhead(once, figure_report):
-    def run():
-        captured = [_run(True) for _ in range(trials())]
-        plain = [_run(False) for _ in range(trials())]
-        return captured, plain
-
-    captured, plain = once(run)
-    on_times = [t for t, _s, _n in captured]
-    off_times = [t for t, _s, _n in plain]
-    ratio = mean(on_times) / mean(off_times)
+    result = once(run_ablation, "abl-snapshot", workload=PROFILE, trials=trials())
     figure_report.append(
-        "Ablation abl-snapshot (every-GC capture on/off, GC time on 'bloat'):\n"
-        f"  off: {mean(off_times) * 1e3:.1f} ms ±{confidence_interval_90(off_times) * 1e3:.1f}\n"
-        f"  on:  {mean(on_times) * 1e3:.1f} ms ±{confidence_interval_90(on_times) * 1e3:.1f}\n"
-        f"  ratio: {ratio:.3f} ({captured[0][2]} snapshots per run; "
-        "target <=1.15, asserted <=1.5 for CI noise)"
+        render_ablation(result, FEATURES["abl-snapshot"].title)
+        + "\n  (target <=1.15, asserted <=1.5 for CI noise)"
     )
-    assert ratio < MAX_GC_TIME_RATIO
+    assert result["ratio"] < MAX_GC_TIME_RATIO
 
     # Capture observes marking without changing it: every deterministic
     # work counter is identical whether the policy is installed or not.
-    assert captured[0][1]["counters"] == plain[0][1]["counters"]
+    assert result["counters_match"]
 
     # And the capture leg actually piggybacked on every full collection.
-    assert captured[0][2] == captured[0][1]["counters"]["full_collections"]
+    capture = result["legs"]["capture"]
+    assert result["snapshots_written"] == capture["counters"]["full_collections"]
 
 
 def test_no_policy_is_inert(once):

@@ -14,7 +14,7 @@ collection; this ablation bounds that too.
 from __future__ import annotations
 
 from benchmarks.conftest import trials
-from repro.bench.methodology import confidence_interval_90, mean
+from repro.bench.perf import FEATURES, render_ablation, run_ablation
 from repro.runtime.vm import VirtualMachine
 from repro.workloads.synthetic import PROFILES, run_synthetic
 from repro.workloads.suite import HEAP_BUDGETS
@@ -22,44 +22,30 @@ from repro.workloads.suite import HEAP_BUDGETS
 PROFILE = "bloat"  # the GC-heaviest suite member, as in abl-path
 
 
-def _run(telemetry: bool) -> tuple[float, dict, VirtualMachine]:
-    vm = VirtualMachine(heap_bytes=HEAP_BUDGETS[PROFILE], telemetry=telemetry)
-    run_synthetic(vm, PROFILES[PROFILE])
-    return vm.stats.gc_seconds, vm.stats.snapshot(), vm
-
-
 def test_telemetry_overhead(once, figure_report):
-    def run():
-        enabled = [_run(True) for _ in range(trials())]
-        disabled = [_run(False) for _ in range(trials())]
-        return enabled, disabled
-
-    enabled, disabled = once(run)
-    on_times = [t for t, _s, _vm in enabled]
-    off_times = [t for t, _s, _vm in disabled]
-    ratio = mean(on_times) / mean(off_times)
+    result = once(run_ablation, "abl-telemetry", workload=PROFILE, trials=trials())
     figure_report.append(
-        "Ablation abl-telemetry (telemetry on/off, GC time on 'bloat'):\n"
-        f"  off: {mean(off_times) * 1e3:.1f} ms ±{confidence_interval_90(off_times) * 1e3:.1f}\n"
-        f"  on:  {mean(on_times) * 1e3:.1f} ms ±{confidence_interval_90(on_times) * 1e3:.1f}\n"
-        f"  ratio: {ratio:.3f} (disabled mode is the pre-telemetry baseline)"
+        render_ablation(result, FEATURES["abl-telemetry"].title)
+        + "\n  (disabled mode is the pre-telemetry baseline)"
     )
     # The enabled emit path (begin/end snapshot, histograms, census walk)
     # must stay cheap relative to the collection it observes.
-    assert ratio < 2.0
+    assert result["ratio"] < 2.0
 
     # Telemetry observes the collector without perturbing it: every
     # deterministic work counter is identical whether it is on or off.
-    on_counters = enabled[0][1]["counters"]
-    off_counters = disabled[0][1]["counters"]
-    assert on_counters == off_counters
+    assert result["counters_match"]
 
     # And the enabled run actually produced the observability artifacts.
-    vm = enabled[0][2]
-    assert len(vm.telemetry.events) > 0
-    assert vm.telemetry.pause_hist.count == on_counters["collections"]
-    assert vm.telemetry.alloc_hist.count > 0
-    assert vm.telemetry.census.samples == on_counters["collections"]
+    on = result["legs"]["on"]
+    collections = on["counters"]["collections"]
+    assert all(
+        e["events"] > 0
+        and e["pause_samples"] == collections
+        and e["alloc_samples"] > 0
+        and e["census_samples"] == collections
+        for e in on["extras"]
+    )
 
 
 def test_disabled_mode_is_inert(once):

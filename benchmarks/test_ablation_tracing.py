@@ -11,7 +11,7 @@ phase, identical work counters, no span objects allocated anywhere.
 from __future__ import annotations
 
 from benchmarks.conftest import trials
-from repro.bench.methodology import confidence_interval_90, mean
+from repro.bench.perf import FEATURES, render_ablation, run_ablation
 from repro.gc import base as gc_base
 from repro.runtime.vm import VirtualMachine
 from repro.workloads.suite import HEAP_BUDGETS
@@ -25,44 +25,21 @@ PROFILE = "bloat"  # the GC-heaviest suite member, as in abl-snapshot
 MAX_GC_TIME_RATIO = 1.5
 
 
-def _run(tracing: bool):
-    vm = VirtualMachine(
-        heap_bytes=HEAP_BUDGETS[PROFILE],
-        assertions=False,
-        telemetry=False,
-        tracing=tracing,
-    )
-    run_synthetic(vm, PROFILES[PROFILE])
-    vm.collector.sweep_all()
-    spans = vm.span_tracer.spans_ended if vm.span_tracer is not None else 0
-    return vm.stats.gc_seconds, vm.stats.snapshot(), spans
-
-
 def test_span_tracing_overhead(once, figure_report):
-    def run():
-        traced = [_run(True) for _ in range(trials())]
-        plain = [_run(False) for _ in range(trials())]
-        return traced, plain
-
-    traced, plain = once(run)
-    on_times = [t for t, _s, _n in traced]
-    off_times = [t for t, _s, _n in plain]
-    ratio = mean(on_times) / mean(off_times)
+    result = once(run_ablation, "abl-tracing", workload=PROFILE, trials=trials())
     figure_report.append(
-        "Ablation abl-tracing (every-phase spans on/off, GC time on 'bloat'):\n"
-        f"  off: {mean(off_times) * 1e3:.1f} ms ±{confidence_interval_90(off_times) * 1e3:.1f}\n"
-        f"  on:  {mean(on_times) * 1e3:.1f} ms ±{confidence_interval_90(on_times) * 1e3:.1f}\n"
-        f"  ratio: {ratio:.3f} ({traced[0][2]} spans per run; "
-        "target <=1.02, asserted <=1.5 for CI noise)"
+        render_ablation(result, FEATURES["abl-tracing"].title)
+        + "\n  (target <=1.02, asserted <=1.5 for CI noise)"
     )
-    assert ratio < MAX_GC_TIME_RATIO
+    assert result["ratio"] < MAX_GC_TIME_RATIO
 
     # Spans observe the phases without changing them: every deterministic
     # work counter is identical whether the recorder is installed or not.
-    assert traced[0][1]["counters"] == plain[0][1]["counters"]
+    assert result["counters_match"]
 
     # And the traced leg actually recorded spans on every collection.
-    assert traced[0][2] >= traced[0][1]["counters"]["collections"]
+    traced = result["legs"]["trace"]
+    assert result["spans_recorded"] >= traced["counters"]["collections"]
 
 
 def test_tracing_off_is_inert(once):

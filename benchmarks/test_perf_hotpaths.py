@@ -1,10 +1,12 @@
 """Hot-path perf gate: trace loop, allocation fast path, lazy sweep pauses.
 
-Regenerates ``BENCH_perf.json`` (the committed perf record, schema
-``repro-bench-perf/1``) and checks the claims behind the hot-path overhaul:
+Builds a quick ``BENCH_perf.json``-shaped record (schema
+``repro-bench-perf/1``) in a temporary directory — the committed record is
+regenerated on purpose with ``python -m repro bench``, never by a test run
+— and checks the claims behind the hot-path overhaul:
 
-* the specialized fused drain traces edges faster than the generic
-  per-edge loop, over the *same* heap with *identical* work counters;
+* the three fused drains (plain, paths, paths+engine) and the general
+  drain under a path probe do *identical* work over the same heap;
 * the run-cache fast path serves the vast majority of small allocations;
 * lazy sweeping ends the pause at mark end, so pauses shrink while the
   reclaimed set stays exactly the same.
@@ -14,6 +16,8 @@ counter-identity assertions are exact — those are the correctness gate.
 """
 
 from __future__ import annotations
+
+import json
 
 from benchmarks.conftest import full_scale
 from repro.bench import (
@@ -25,12 +29,10 @@ from repro.bench import (
 )
 
 
-def test_trace_specialization_speedup(once):
-    result = once(bench_trace, n_nodes=8_000, trials=3)
+def test_fused_drains_agree_on_work(once):
+    result = once(bench_trace, n_nodes=8_000)
     assert result["counters_match"], "drain variants disagree on work done"
-    assert result["generic"]["edges_traced"] > 0
-    # Lenient floor; the committed BENCH_perf.json records the real ratio.
-    assert result["speedup"] > 1.05
+    assert result["drains"]["plain"]["edges_traced"] > 0
     # The cheap path API saw real depths during the instrumented pass.
     assert result["path_probe"]["max_depth"] > 0
 
@@ -40,7 +42,7 @@ def test_alloc_fast_path_hit_rate(once):
     # Small-object allocation should be served by the run cache almost
     # always (one refill per RUN_CACHE_CELLS allocations).
     assert result["fast_hit_rate"] > 0.9
-    assert result["cached"]["alloc_fast_hits"] > 0
+    assert result["counters_match"]
 
 
 def test_lazy_sweep_shrinks_pauses_with_identical_work(once):
@@ -54,8 +56,9 @@ def test_lazy_sweep_shrinks_pauses_with_identical_work(once):
     assert row["lazy"]["lazy_sweep_seconds"] > 0
 
 
-def test_regenerate_bench_perf_json(once):
+def test_regenerate_bench_perf_json(once, tmp_path):
     payload = once(perf_payload, quick=not full_scale())
     assert payload["counters_match"]
-    path = dump_perf(payload)
-    assert path == "BENCH_perf.json"
+    path = tmp_path / "BENCH_perf.json"
+    assert dump_perf(payload, str(path)) == str(path)
+    assert json.loads(path.read_text())["schema"] == "repro-bench-perf/1"

@@ -7,9 +7,9 @@ Commands:
 * ``figures``   — regenerate Figures 2–5 (``--full`` for the whole suite;
   ``--json-out`` also writes the machine-readable perf record).
 * ``bench``     — hot-path perf record: trace/alloc microbenchmarks, the
-  eager-vs-lazy sweep pause comparison, and snapshot-capture overhead;
-  writes ``BENCH_perf.json`` and exits non-zero if the deterministic work
-  counters drift between modes.
+  eager-vs-lazy sweep pause comparison, and every on/off feature
+  ablation; writes ``BENCH_perf.json`` and exits non-zero if the
+  deterministic work counters drift between modes.
 * ``verify``    — run a workload on every collector and verify heap
   integrity afterwards (a smoke test for modified collectors).
 * ``stats``     — run a workload with telemetry on and report the GC event
@@ -225,40 +225,31 @@ def _resolve_workload_runner(args):
     """Shared --workload resolution: returns ``(runner, label, rc)``.
 
     ``runner`` is ``None`` (with ``rc == 2``) for an unknown name; the
-    pseudo-workload ``swapleak`` gets the same knobs ``snapshot capture``
-    exposes so the leak scenario can be traced and watched live too.
+    pseudo-workload ``swapleak`` takes its knobs from the command's
+    swapleak flags.  ``--heap`` defaults to the suite member's tuned size
+    (so the run actually collects) and to 4 MiB for swapleak.
     """
-    if args.workload == "swapleak":
-        from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
+    from repro.workloads.suite import resolve_workload, workload_names
+    from repro.workloads.swapleak import SwapLeakConfig
 
-        config = SwapLeakConfig(
+    resolved = resolve_workload(
+        args.workload,
+        swapleak=lambda: SwapLeakConfig(
             array_size=args.array_size,
             swaps=args.swaps,
             static_rep=args.static_rep,
-            assert_dead_swapped=args.assertions,
             gc_every_swaps=args.gc_every_swaps,
-        )
-        if args.heap is None:
-            args.heap = 4 << 20
-        return (lambda vm: run_swapleak(vm, config)), "swapleak", 0
-
-    from repro.workloads.suite import build_suite
-
-    suite = build_suite()
-    try:
-        entry = suite[args.workload]
-    except KeyError:
-        choices = sorted(suite) + ["swapleak"]
-        print(f"unknown workload {args.workload!r}; pick from {choices}")
+        ),
+        swapleak_heap_bytes=4 << 20,
+        asserted=args.assertions,
+    )
+    if resolved is None:
+        print(f"unknown workload {args.workload!r}; pick from {workload_names()}")
         return None, args.workload, 2
+    heap_bytes, runner = resolved
     if args.heap is None:
-        # The suite's tuned heap size makes the workload actually collect,
-        # so the trace has in-run pauses rather than one forced final GC.
-        args.heap = entry.heap_bytes
-    runner = entry.run
-    if args.assertions and entry.run_with_assertions is not None:
-        runner = entry.run_with_assertions
-    return runner, entry.name, 0
+        args.heap = heap_bytes
+    return runner, args.workload, 0
 
 
 def cmd_trace_run(args) -> int:
@@ -599,40 +590,16 @@ def cmd_snapshot_capture(args) -> int:
     from repro.runtime.vm import VirtualMachine
     from repro.snapshot import SnapshotPolicy
 
+    runner, _label, rc = _resolve_workload_runner(args)
+    if runner is None:
+        return rc
     vm = VirtualMachine(heap_bytes=args.heap, collector=args.collector)
     policy = SnapshotPolicy(
         args.out_dir,
         every_n_gcs=args.every_n_gcs,
         on_violation=args.on_violation,
     ).attach(vm)
-
-    if args.workload == "swapleak":
-        from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
-
-        run_swapleak(
-            vm,
-            SwapLeakConfig(
-                array_size=args.array_size,
-                swaps=args.swaps,
-                static_rep=args.static_rep,
-                assert_dead_swapped=args.assertions,
-                gc_every_swaps=args.gc_every_swaps,
-            ),
-        )
-    else:
-        from repro.workloads.suite import build_suite
-
-        suite = build_suite()
-        try:
-            entry = suite[args.workload]
-        except KeyError:
-            choices = sorted(suite) + ["swapleak"]
-            print(f"unknown workload {args.workload!r}; pick from {choices}")
-            return 2
-        runner = entry.run
-        if args.assertions and entry.run_with_assertions is not None:
-            runner = entry.run_with_assertions
-        runner(vm)
+    runner(vm)
 
     written = list(policy.captured)
     if not written:

@@ -8,6 +8,9 @@ Follows §3.1.1 of the paper where it transfers to a simulator:
   fresh VM; we report means with **90% confidence intervals** (Student t).
 * Ratios across benchmarks are combined with the **geometric mean**, like
   the paper's "2.75% (the geometric mean)".
+* On/off costs of a single feature (the §2.7 "path tracking is free"
+  comparison and every ablation after it) go through :func:`ablate`:
+  interleaved trials of both legs, mean ± CI90 per leg, ratio of means.
 
 Wall-clock numbers in a Python simulator are noisy relative to the paper's
 single-digit percentages, so every measurement also carries deterministic
@@ -21,7 +24,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.runtime.vm import VirtualMachine
 from repro.workloads.suite import SuiteEntry
@@ -177,6 +180,65 @@ def run_sample(
     for _ in range(trials):
         sample.measurements.append(run_trial(entry, config, collector))
     return sample
+
+
+Leg = Callable[[], tuple[float, dict, dict]]
+
+
+def ablate(
+    name: str, legs: dict[str, Leg], *, workload: str, trials: int, basis: str
+) -> dict:
+    """Measure one on/off cost: ``trials`` interleaved rounds of two legs.
+
+    ``legs`` maps two leg names, baseline first, to callables that run
+    one trial and return ``(seconds, counters, extras)``: the measured
+    time on ``basis`` (``"gc"``, ``"mark"`` or ``"wall"``), the
+    deterministic work counters, and leg-specific observations.  Each
+    round runs both legs, and the leg that goes first alternates between
+    rounds, so drift in the host (frequency scaling, a neighbour's load)
+    lands on both legs alike.  Reports each leg's mean and 90% CI
+    half-width over all its trials, the ratio of the means (second leg
+    over first), and ``counters_match``: every trial of both legs
+    produced the same counters.
+    """
+    if len(legs) != 2:
+        raise ValueError(f"{name}: an ablation has exactly two legs, got {list(legs)}")
+    names = list(legs)
+    seconds: dict[str, list[float]] = {leg: [] for leg in names}
+    counters: dict[str, list[dict]] = {leg: [] for leg in names}
+    extras: dict[str, list[dict]] = {leg: [] for leg in names}
+    first_legs = []
+    for round_ in range(trials):
+        order = names if round_ % 2 == 0 else names[::-1]
+        first_legs.append(order[0])
+        for leg in order:
+            s, c, e = legs[leg]()
+            seconds[leg].append(s)
+            counters[leg].append(c)
+            extras[leg].append(e)
+    reference = counters[names[0]][0] if trials else {}
+    base, other = (mean(seconds[leg]) for leg in names)
+    return {
+        "name": name,
+        "workload": workload,
+        "basis": basis,
+        "trials": trials,
+        "first_legs": first_legs,
+        "legs": {
+            leg: {
+                "mean_s": mean(seconds[leg]),
+                "ci90_s": confidence_interval_90(seconds[leg]),
+                "seconds": seconds[leg],
+                "counters": counters[leg][0] if trials else {},
+                "extras": extras[leg],
+            }
+            for leg in names
+        },
+        "ratio": other / base if base > 0 else 0.0,
+        "counters_match": all(
+            trial == reference for leg in names for trial in counters[leg]
+        ),
+    }
 
 
 @dataclass

@@ -1,60 +1,59 @@
-"""Hot-path microbenchmarks and the eager-vs-lazy pause comparison.
+"""Hot-path microbenchmarks, the eager-vs-lazy pause comparison, and the
+on/off feature ablations.
 
-``python -m repro bench`` drives four measurements and writes the
-machine-readable record ``BENCH_perf.json`` (schema ``repro-bench-perf/1``):
+``python -m repro bench`` writes the machine-readable record
+``BENCH_perf.json`` (schema ``repro-bench-perf/1``):
 
-* **trace** — the same prepared heap traced by the generic per-edge drain
-  (``Tracer(specialized=False)``, the pre-overhaul loop kept for exactly
-  this purpose) and by the fused specialized drain; reported as
-  edges-traced/second and their ratio.
+* **trace** — one prepared heap replayed by the three fused drains a
+  measured collection runs — plain (Base), paths (Infrastructure without
+  an engine) and paths+engine (the assertion engine's inlined header
+  checks) — through :func:`repro.tracing.report._replay_leg`; reported as
+  edges-traced/second per drain.  One more pass drives a hook engine that
+  reads the cheap path API at every encounter (the general drain).  All
+  four must agree on the work counters.
 * **alloc** — allocation throughput with the run cache disabled (the
-  pre-overhaul ``space.allocate`` path) and enabled; reported as
-  allocations/second and the fast-path hit rate.
+  pre-overhaul ``space.allocate`` path) and enabled, plus the fast-path
+  hit rate.
 * **pauses** — full workloads (lusearch, pseudojbb) run twice, under
   ``sweep_mode="eager"`` and ``"lazy"``; reported as pause percentiles plus
   the deterministic work counters, which must be identical between modes
   (the lazy sweep changes *when* reclamation happens, never *what* is
   reclaimed).
-* **abl-snapshot** — one workload run with piggybacked heap-snapshot
-  capture on every collection vs off; reported as the GC-time ratio (the
-  subsystem's ≤15% acceptance bar) with, again, identical work counters
-  required.
-* **abl-tracing** — the same shape for span tracing: one workload run with
-  the in-pause span recorder on vs off; reported as the GC-time ratio with
-  identical work counters required (spans observe phases, they must never
-  change what the collector does).
-* **abl-faults** — the fault-injection hook cost: one workload run with an
-  *armed but empty-plan* :class:`~repro.faults.FaultInjector` attached vs
-  without; the injector's standing cost is one allocation-counter
-  increment plus a list check, so the ratio must sit at ~1.00 with
-  bit-identical work counters and zero recovery activity.
-* **abl-paranoid** — the paranoid wellformedness walker: one workload run
-  with ``--paranoid`` per-GC heap/allocator walks vs without; the walk is
-  allowed to be expensive but must be purely observational — bit-identical
-  work counters and zero verification errors on a clean workload.
-* **abl-dtrace** — the end-to-end tracing increment: one tenant run
-  through a tracing-enabled server (trace context on every frame,
-  request-lifecycle spans, merged multi-track export) vs a direct VM with
-  tracing off; the counters must be bit-identical and the export must
-  validate as a Chrome trace.
+* **abl-*** — one section per row of :data:`FEATURES`: a workload run with
+  one feature off and on (span tracing, snapshot capture, an armed
+  empty-plan fault injector, the paranoid walker, the monitoring hub,
+  telemetry, path tagging, and a tenant served over the wire with and
+  without end-to-end tracing).  Every feature observes the collector
+  without steering it, so the work counters of every trial must be
+  identical; the time ratio is the feature's price.
 
-Wall-clock numbers from a Python simulator are noisy; the counters are the
-ground truth (``counters_match`` gates CI), the rates are the trend.
+Alloc and every ablation go through
+:func:`repro.bench.methodology.ablate`: interleaved trials, the first leg
+alternating, mean ± CI90 per leg, ratio of the means.  Wall-clock numbers
+from a Python simulator are noisy; the counters are the ground truth
+(``counters_match`` gates CI), the ratios are the trend.  The per-layer
+cost ledger is ``perfbench/run.py --trace 1``, not this record.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import random
+import tempfile
 import time
+from contextlib import ExitStack
+from dataclasses import dataclass
+from typing import Callable
 
+from repro.bench.methodology import Leg, ablate
 from repro.gc.stats import GcStats
 from repro.gc.tracer import Tracer
-from repro.heap import header as hdr
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
-from repro.workloads.suite import build_suite
+from repro.tracing.report import _clear_marks, _NullInlineEngine, _replay_leg
+from repro.workloads.suite import SuiteEntry, build_suite
 
 #: Workloads used for the eager-vs-lazy pause comparison.
 PAUSE_WORKLOADS = ("lusearch", "pseudojbb")
@@ -94,14 +93,8 @@ def _build_trace_heap(n_nodes: int) -> VirtualMachine:
     return vm
 
 
-def _clear_marks(vm: VirtualMachine) -> None:
-    clear_mask = ~(hdr.MARK_BIT | hdr.OWNED_BIT)
-    for obj in vm.heap:
-        obj.status &= clear_mask
-
-
 class _PathDepthProbe:
-    """A minimal engine exercising the cheap path API during a drain.
+    """A minimal hook engine exercising the cheap path API during a drain.
 
     Uses :meth:`Tracer.path_depth` and :meth:`Tracer.current_path_addresses`
     — the no-object-materialization variants — the way a sampling profiler
@@ -115,13 +108,6 @@ class _PathDepthProbe:
         self._visits = 0
         self._sample_every = sample_every
 
-    def gc_begin(self, collector) -> None: ...
-    def pre_mark(self, collector, tracer) -> None: ...
-    def post_mark(self, collector, tracer) -> None: ...
-    def gc_end(self, collector, freed) -> None: ...
-    def purge(self, freed) -> None: ...
-    def finalize(self, collector) -> None: ...
-    def apply_forwarding(self, fwd) -> None: ...
     def on_repeat_encounter(self, obj, tracer, parent) -> None: ...
 
     def on_first_encounter(self, obj, tracer, parent) -> None:
@@ -135,52 +121,54 @@ class _PathDepthProbe:
             assert chain and chain[-1] == obj.address
 
 
-def bench_trace(n_nodes: int = 20_000, trials: int = 5) -> dict:
-    """Generic vs specialized drain over one prepared heap."""
+def _trace_counters(stats: GcStats) -> dict:
+    return {
+        "objects_traced": stats.objects_traced,
+        "edges_traced": stats.edges_traced,
+        "path_entries_tagged": stats.path_entries_tagged,
+    }
+
+
+def bench_trace(n_nodes: int = 20_000) -> dict:
+    """The three fused drains, and the general drain under a path probe,
+    over one prepared heap."""
     vm = _build_trace_heap(n_nodes)
-    heap = vm.heap
     roots = list(vm.root_entries())
-    results: dict[str, dict] = {}
-    for variant, specialized in (("generic", False), ("specialized", True)):
-        best = float("inf")
-        stats = GcStats()
-        for _ in range(trials):
-            _clear_marks(vm)
-            stats = GcStats()
-            tracer = Tracer(heap, stats, None, track_paths=True, specialized=specialized)
-            start = time.perf_counter()
-            tracer.trace(roots)
-            best = min(best, time.perf_counter() - start)
-        results[variant] = {
-            "objects_traced": stats.objects_traced,
-            "edges_traced": stats.edges_traced,
-            "path_entries_tagged": stats.path_entries_tagged,
-            "best_seconds": best,
-            "edges_per_second": stats.edges_traced / best if best else 0.0,
+    drains: dict[str, dict] = {}
+    for name, engine, track_paths in (
+        ("plain", None, False),
+        ("paths", None, True),
+        ("paths_engine", _NullInlineEngine(), True),
+    ):
+        seconds, stats = _replay_leg(vm, roots, engine, track_paths)
+        drains[name] = {
+            "best_seconds": seconds,
+            "edges_per_second": stats.edges_traced / seconds if seconds else 0.0,
+            **_trace_counters(stats),
         }
-    # One instrumented pass with the cheap path API (engine specialization).
-    _clear_marks(vm)
     probe = _PathDepthProbe()
-    tracer = Tracer(heap, GcStats(), probe, track_paths=True)
-    tracer.trace(roots)
-    _clear_marks(vm)
-    generic, specialized = results["generic"], results["specialized"]
+    probe_stats = GcStats()
+    Tracer(vm.heap, probe_stats, probe, track_paths=True).trace(roots)
+    _clear_marks(vm.heap)
+    probed = _trace_counters(probe_stats)
+    plain = drains["plain"]
+    work = (plain["objects_traced"], plain["edges_traced"])
     return {
         "nodes": n_nodes,
-        "trials": trials,
-        "generic": generic,
-        "specialized": specialized,
-        "speedup": (
-            specialized["edges_per_second"] / generic["edges_per_second"]
-            if generic["edges_per_second"]
-            else 0.0
-        ),
+        "drains": drains,
         "counters_match": (
-            generic["objects_traced"] == specialized["objects_traced"]
-            and generic["edges_traced"] == specialized["edges_traced"]
-            and generic["path_entries_tagged"] == specialized["path_entries_tagged"]
+            all(
+                (row["objects_traced"], row["edges_traced"]) == work
+                for row in (*drains.values(), probed)
+            )
+            and plain["path_entries_tagged"] == 0
+            and all(
+                row["path_entries_tagged"] == plain["objects_traced"]
+                for row in (drains["paths"], drains["paths_engine"], probed)
+            )
         ),
         "path_probe": {
+            **probed,
             "max_depth": probe.max_depth,
             "sampled_paths": probe.sampled_paths,
         },
@@ -199,11 +187,9 @@ def bench_alloc(n_allocs: int = 50_000, trials: int = 5) -> dict:
     refill per ``RUN_CACHE_CELLS`` bump carves instead of one carve per
     allocation.
     """
-    results: dict[str, dict] = {}
-    for variant in ("uncached", "cached"):
-        best = float("inf")
-        fast_hits = 0
-        for _ in range(trials):
+
+    def leg(cached: bool) -> Leg:
+        def run():
             vm = VirtualMachine(
                 heap_bytes=64 << 20, assertions=False, telemetry=False
             )
@@ -211,7 +197,7 @@ def bench_alloc(n_allocs: int = 50_000, trials: int = 5) -> dict:
                 "AllocBench", [("a", FieldKind.INT), ("b", FieldKind.REF)]
             )
             collector = vm.collector
-            if variant == "uncached":
+            if not cached:
                 collector._alloc_cache = None  # pre-overhaul space.allocate path
             allocate = collector.allocate
             for _ in range(n_allocs):
@@ -221,529 +207,354 @@ def bench_alloc(n_allocs: int = 50_000, trials: int = 5) -> dict:
             start = time.perf_counter()
             for _ in range(n_allocs):
                 allocate(cls)
-            best = min(best, time.perf_counter() - start)
+            seconds = time.perf_counter() - start
             fast_hits = collector.stats.alloc_fast_hits - hits_before
-        results[variant] = {
-            "best_seconds": best,
-            "allocs_per_second": n_allocs / best if best else 0.0,
-            "alloc_fast_hits": fast_hits,
-        }
-    uncached, cached = results["uncached"], results["cached"]
-    return {
-        "allocations": n_allocs,
-        "trials": trials,
-        "uncached": uncached,
-        "cached": cached,
-        "speedup": (
-            cached["allocs_per_second"] / uncached["allocs_per_second"]
-            if uncached["allocs_per_second"]
-            else 0.0
-        ),
-        "fast_hit_rate": cached["alloc_fast_hits"] / n_allocs if n_allocs else 0.0,
-    }
+            return seconds, {"live_objects": len(vm.heap)}, {"alloc_fast_hits": fast_hits}
+
+        return run
+
+    result = ablate(
+        "alloc",
+        {"uncached": leg(False), "cached": leg(True)},
+        workload=f"{n_allocs} recycled-cell allocations",
+        trials=trials,
+        basis="wall",
+    )
+    hits = min(e["alloc_fast_hits"] for e in result["legs"]["cached"]["extras"])
+    result["fast_hit_rate"] = hits / n_allocs if n_allocs else 0.0
+    return result
 
 
-# -- snapshot-capture ablation ----------------------------------------------------------
+# -- the feature ablations --------------------------------------------------------------
 
 
-def bench_snapshot(workload: str = "pseudojbb", trials: int = 3) -> dict:
-    """GC time with piggybacked snapshot capture on every collection vs off.
+def _vm_leg(workload: SuiteEntry, basis: str, attach=None, **options) -> Leg:
+    """One trial: ``workload`` on a fresh VM built with ``options``, timed
+    on ``basis``: ``"gc"`` (pause time), ``"mark"`` or ``"wall"``.
 
-    The acceptance bar for the snapshot subsystem: capturing on *every*
-    full collection (``every_n_gcs=1``, the worst case) must add no more
-    than ~15% to GC time, and the deterministic work counters must be
-    identical — capture observes marking, it must never change it.
-    Serialization cost lands on the mutator (after the pause timer
-    closes), so ``gc_seconds`` isolates exactly the in-pause row-append
-    overhead.  Best-of-``trials`` per leg to shave scheduler noise.
+    ``attach(vm, stack)`` installs the feature before the run (``stack``
+    holds what the trial must clean up) and returns a callable that reads
+    the leg's extras once the run is over.
     """
-    import shutil
-    import tempfile
 
-    from repro.snapshot import SnapshotPolicy
-
-    suite = build_suite()
-    entry = suite[workload]
-    results: dict[str, dict] = {}
-    for variant in ("off", "capture"):
-        best_gc = float("inf")
-        stats = None
-        snapshots = 0
-        for _ in range(trials):
-            vm = VirtualMachine(
-                heap_bytes=entry.heap_bytes, assertions=False, telemetry=False
-            )
-            tmpdir = None
-            if variant == "capture":
-                tmpdir = tempfile.mkdtemp(prefix="repro-bench-snap-")
-                policy = SnapshotPolicy(tmpdir, every_n_gcs=1).attach(vm)
-            try:
-                entry.run(vm)
-                vm.collector.sweep_all()
-                if vm.stats.gc_seconds < best_gc:
-                    best_gc = vm.stats.gc_seconds
-                    stats = vm.stats
-                if variant == "capture":
-                    snapshots = len(policy.captured)
-            finally:
-                if tmpdir is not None:
-                    shutil.rmtree(tmpdir, ignore_errors=True)
-        results[variant] = {
-            "best_gc_seconds": best_gc,
-            "collections": stats.collections,
-            "snapshots_written": snapshots,
-            "counters": {
-                "objects_traced": stats.objects_traced,
-                "edges_traced": stats.edges_traced,
-                "objects_freed": stats.objects_freed,
-                "bytes_freed": stats.bytes_freed,
-            },
-        }
-    off, capture = results["off"], results["capture"]
-    return {
-        "workload": workload,
-        "trials": trials,
-        "off": off,
-        "capture": capture,
-        "gc_time_ratio": (
-            capture["best_gc_seconds"] / off["best_gc_seconds"]
-            if off["best_gc_seconds"]
-            else 0.0
-        ),
-        "counters_match": off["counters"] == capture["counters"],
-    }
-
-
-# -- span-tracing ablation --------------------------------------------------------------
-
-
-def bench_tracing(workload: str = "pseudojbb", trials: int = 3) -> dict:
-    """GC time with in-pause span tracing on vs off.
-
-    The tracing subsystem's acceptance bar: recording every phase span and
-    counter must stay within a few percent of GC time, and the
-    deterministic work counters must be identical — spans observe the
-    phases, they must never change collector behaviour.  (With tracing
-    *off* the hooks cost one attribute load per phase; that leg is the
-    baseline here, so the ratio prices exactly the recorder.)
-    Best-of-``trials`` per leg to shave scheduler noise.
-    """
-    from repro.tracing.spans import SpanTracer
-
-    suite = build_suite()
-    entry = suite[workload]
-    results: dict[str, dict] = {}
-    for variant in ("off", "trace"):
-        best_gc = float("inf")
-        stats = None
-        spans = 0
-        for _ in range(trials):
-            vm = VirtualMachine(
-                heap_bytes=entry.heap_bytes,
-                assertions=False,
-                telemetry=False,
-                tracing=(variant == "trace"),
-            )
-            entry.run(vm)
-            vm.collector.sweep_all()
-            if vm.stats.gc_seconds < best_gc:
-                best_gc = vm.stats.gc_seconds
-                stats = vm.stats
-            if variant == "trace":
-                spans = vm.span_tracer.spans_ended
-        results[variant] = {
-            "best_gc_seconds": best_gc,
-            "collections": stats.collections,
-            "spans_recorded": spans,
-            "counters": {
-                "objects_traced": stats.objects_traced,
-                "edges_traced": stats.edges_traced,
-                "objects_freed": stats.objects_freed,
-                "bytes_freed": stats.bytes_freed,
-            },
-        }
-    off, trace = results["off"], results["trace"]
-    return {
-        "workload": workload,
-        "trials": trials,
-        "off": off,
-        "trace": trace,
-        "gc_time_ratio": (
-            trace["best_gc_seconds"] / off["best_gc_seconds"]
-            if off["best_gc_seconds"]
-            else 0.0
-        ),
-        "counters_match": off["counters"] == trace["counters"],
-    }
-
-
-# -- fault-injection ablation -----------------------------------------------------------
-
-
-def bench_faults(workload: str = "pseudojbb", trials: int = 3) -> dict:
-    """GC + mutator time with an armed (empty-plan) fault injector vs off.
-
-    The robustness layer's acceptance bar: with no faults scheduled, the
-    injector's only standing cost is the allocation-count shim (one
-    integer increment and an empty-list check per allocation) plus one
-    inert GC observer.  The GC-time ratio must sit at ~1.00, every
-    deterministic work counter must be bit-identical to the uninstrumented
-    run, and the recovery counters must stay at zero — an armed injector
-    that changes *anything* before its first fault fires is a bug.
-    Best-of-``trials`` per leg to shave scheduler noise.
-    """
-    from repro.faults import FaultInjector, FaultPlan
-
-    suite = build_suite()
-    entry = suite[workload]
-    results: dict[str, dict] = {}
-    recovery_total = 0
-    for variant in ("off", "armed"):
-        best_gc = float("inf")
-        stats = None
-        for _ in range(trials):
-            vm = VirtualMachine(
-                heap_bytes=entry.heap_bytes, assertions=False, telemetry=False
-            )
-            injector = None
-            if variant == "armed":
-                injector = FaultInjector(vm, FaultPlan()).attach()
-            entry.run(vm)
-            vm.collector.sweep_all()
-            if vm.stats.gc_seconds < best_gc:
-                best_gc = vm.stats.gc_seconds
-                stats = vm.stats
-            if variant == "armed":
-                recovery_total = vm.collector.recovery.total()
-                injector.detach()
-        results[variant] = {
-            "best_gc_seconds": best_gc,
-            "collections": stats.collections,
-            "counters": {
-                "objects_traced": stats.objects_traced,
-                "edges_traced": stats.edges_traced,
-                "objects_freed": stats.objects_freed,
-                "bytes_freed": stats.bytes_freed,
-            },
-        }
-    off, armed = results["off"], results["armed"]
-    return {
-        "workload": workload,
-        "trials": trials,
-        "off": off,
-        "armed": armed,
-        "gc_time_ratio": (
-            armed["best_gc_seconds"] / off["best_gc_seconds"]
-            if off["best_gc_seconds"]
-            else 0.0
-        ),
-        "counters_match": off["counters"] == armed["counters"],
-        "recovery_activity": recovery_total,
-    }
-
-
-# -- paranoid-walker ablation -----------------------------------------------------------
-
-
-def bench_paranoid(workload: str = "pseudojbb", trials: int = 3) -> dict:
-    """GC + mutator time with the paranoid wellformedness walker on vs off.
-
-    The verification layer's acceptance bar: ``--paranoid`` walks the full
-    heap and every allocator structure before and after each collection,
-    so its GC-time ratio is allowed to be large — but it must be *purely
-    observational*.  Every deterministic work counter must be bit-identical
-    to the walker-free run (the walk count lives outside ``GcStats`` for
-    exactly this reason), and a clean workload must complete with zero
-    :class:`~repro.gc.verify.HeapVerificationError` raises.
-    Best-of-``trials`` per leg to shave scheduler noise.
-    """
-    suite = build_suite()
-    entry = suite[workload]
-    results: dict[str, dict] = {}
-    paranoid_walks = 0
-    for variant in ("off", "paranoid"):
-        best_wall = float("inf")
-        stats = None
-        for _ in range(trials):
-            vm = VirtualMachine(
-                heap_bytes=entry.heap_bytes,
-                assertions=False,
-                telemetry=False,
-                paranoid=(variant == "paranoid"),
-            )
+    def leg():
+        with ExitStack() as stack:
+            vm = VirtualMachine(heap_bytes=workload.heap_bytes, **options)
+            read_extras = attach(vm, stack) if attach is not None else dict
             start = time.perf_counter()
-            entry.run(vm)
+            workload.run(vm)
             vm.collector.sweep_all()
             wall = time.perf_counter() - start
-            if wall < best_wall:
-                best_wall = wall
-                stats = vm.stats
-            if variant == "paranoid":
-                paranoid_walks = vm.collector.paranoid_walks
-        results[variant] = {
-            # The walks run mutator-side (outside the gc_seconds pause
-            # timer, like the sentinel), so wall time is the honest basis.
-            "best_wall_seconds": best_wall,
-            "collections": stats.collections,
-            "counters": {
-                "objects_traced": stats.objects_traced,
-                "edges_traced": stats.edges_traced,
-                "objects_freed": stats.objects_freed,
-                "bytes_freed": stats.bytes_freed,
-            },
-        }
-    off, paranoid = results["off"], results["paranoid"]
+            extras = read_extras()
+        stats = vm.stats
+        seconds = {"wall": wall, "gc": stats.gc_seconds, "mark": stats.mark_seconds}
+        return seconds[basis], stats.snapshot()["counters"], extras
+
+    return leg
+
+
+#: The configuration of a direct VM that does no optional work.
+_QUIET = {"assertions": False, "telemetry": False}
+
+
+def _snapshot_legs(workload, basis, _stack):
+    from repro.snapshot import SnapshotPolicy
+
+    def capture(vm, stack):
+        out_dir = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-abl-"))
+        policy = SnapshotPolicy(out_dir, every_n_gcs=1).attach(vm)
+        return lambda: {"snapshots_written": len(policy.captured)}
+
     return {
-        "workload": workload,
-        "trials": trials,
-        "off": off,
-        "paranoid": paranoid,
-        "wall_time_ratio": (
-            paranoid["best_wall_seconds"] / off["best_wall_seconds"]
-            if off["best_wall_seconds"]
-            else 0.0
-        ),
-        "counters_match": off["counters"] == paranoid["counters"],
-        "paranoid_walks": paranoid_walks,
+        "off": _vm_leg(workload, basis, **_QUIET),
+        "capture": _vm_leg(workload, basis, capture, **_QUIET),
     }
 
 
-# -- continuous-monitoring ablation -----------------------------------------------------
+def _tracing_legs(workload, basis, _stack):
+    def spans(vm, _stack):
+        return lambda: {"spans_recorded": vm.span_tracer.spans_ended}
+
+    return {
+        "off": _vm_leg(workload, basis, **_QUIET),
+        "trace": _vm_leg(workload, basis, spans, tracing=True, **_QUIET),
+    }
 
 
-def bench_monitor(workload: str = "pseudojbb", trials: int = 3) -> dict:
-    """GC time with the continuous-monitoring hub armed vs telemetry alone.
+def _faults_legs(workload, basis, _stack):
+    from repro.faults import FaultInjector, FaultPlan
 
-    The monitoring layer's acceptance bar: with a hub and the full stock
-    SLO catalog attached, GC time must stay within ~5% of the same VM
-    running telemetry without a monitor, and every deterministic work
-    counter must be bit-identical — the hub is a sink, it observes
-    collections and must never change them.  Both legs run telemetry so
-    the ratio prices exactly the monitor increment (time-series appends,
-    MMU evaluation, SLO probes per collection), not telemetry itself.
-    Best-of-``trials`` per leg to shave scheduler noise.
-    """
+    def recovery(vm, _stack):
+        return lambda: {"recovery_activity": vm.collector.recovery.total()}
+
+    def armed(vm, stack):
+        injector = FaultInjector(vm, FaultPlan()).attach()
+        stack.callback(injector.detach)
+        return lambda: {
+            "recovery_activity": vm.collector.recovery.total(),
+            "faults_applied": len(injector.applied),
+        }
+
+    return {
+        "off": _vm_leg(workload, basis, recovery, **_QUIET),
+        "armed": _vm_leg(workload, basis, armed, **_QUIET),
+    }
+
+
+def _paranoid_legs(workload, basis, _stack):
+    def walks(vm, _stack):
+        return lambda: {"paranoid_walks": vm.collector.paranoid_walks}
+
+    return {
+        "off": _vm_leg(workload, basis, walks, **_QUIET),
+        "paranoid": _vm_leg(workload, basis, walks, paranoid=True, **_QUIET),
+    }
+
+
+def _monitor_legs(workload, basis, _stack):
     from repro.monitor import MonitorHub, default_slos
 
-    suite = build_suite()
-    entry = suite[workload]
-    results: dict[str, dict] = {}
-    alerts_seen = 0
-    for variant in ("off", "armed"):
-        best_gc = float("inf")
-        stats = None
-        for _ in range(trials):
-            vm = VirtualMachine(
-                heap_bytes=entry.heap_bytes, assertions=False, telemetry=True
-            )
-            hub = None
-            if variant == "armed":
-                hub = MonitorHub(default_slos()).attach(vm)
-            entry.run(vm)
-            vm.collector.sweep_all()
-            if vm.stats.gc_seconds < best_gc:
-                best_gc = vm.stats.gc_seconds
-                stats = vm.stats
-            if variant == "armed":
-                alerts_seen = len(hub.alerts)
-        results[variant] = {
-            "best_gc_seconds": best_gc,
-            "collections": stats.collections,
-            "counters": {
-                "objects_traced": stats.objects_traced,
-                "edges_traced": stats.edges_traced,
-                "objects_freed": stats.objects_freed,
-                "bytes_freed": stats.bytes_freed,
-            },
+    def hub(vm, _stack):
+        monitor = MonitorHub(default_slos()).attach(vm)
+        return lambda: {
+            "gc_events_seen": monitor.gc_events_seen,
+            "alerts_seen": len(monitor.alerts),
+            "degradation_alerts": sum(
+                1 for a in monitor.alerts if a.objective == "no-degradation"
+            ),
         }
-    off, armed = results["off"], results["armed"]
+
+    # Both legs run telemetry, so the ratio prices exactly the hub.
     return {
-        "workload": workload,
-        "trials": trials,
-        "off": off,
-        "armed": armed,
-        "gc_time_ratio": (
-            armed["best_gc_seconds"] / off["best_gc_seconds"]
-            if off["best_gc_seconds"]
-            else 0.0
-        ),
-        "counters_match": off["counters"] == armed["counters"],
-        "alerts_seen": alerts_seen,
+        "off": _vm_leg(workload, basis, assertions=False, telemetry=True),
+        "armed": _vm_leg(workload, basis, hub, assertions=False, telemetry=True),
     }
 
 
-def bench_service(workload: str = "pseudojbb", trials: int = 3) -> dict:
-    """One tenant through the session server vs the same VM run directly.
+def _telemetry_legs(workload, basis, _stack):
+    def observed(vm, _stack):
+        hub = vm.telemetry
+        return lambda: {
+            "events": len(hub.events),
+            "pause_samples": hub.pause_hist.count,
+            "census_samples": hub.census.samples,
+            "alloc_samples": hub.alloc_hist.count,
+        }
 
-    The serving layer's acceptance bar: a workload submitted over the
-    ``repro-wire/1`` protocol must produce **bit-identical** GC/assertion
-    counters and violation sets to a direct VM run with the same
-    configuration — the server adds transport and streaming, never GC
-    work.  Both legs use the hardened tenant configuration (OOM ladder,
-    2× growth ceiling) so the comparison prices exactly the service
-    increment: session bookkeeping, the telemetry fan-in sink, and the
-    violation-streaming reaction handler.  Best-of-``trials`` per leg.
-    """
-    from repro.service import AssertionService, ServiceClient, ServiceConfig
-    from repro.service.session import resolve_workload
-
-    heap_bytes, runner = resolve_workload(workload, asserted=True)
-
-    def direct_leg() -> dict:
-        best = None
-        for _ in range(trials):
-            vm = VirtualMachine(
-                heap_bytes=heap_bytes,
-                assertions=True,
-                telemetry=True,
-                hardened=True,
-                max_heap_bytes=heap_bytes * 2,
-            )
-            runner(vm)
-            vm.collector.sweep_all()
-            if best is None or vm.stats.gc_seconds < best["best_gc_seconds"]:
-                best = {
-                    "best_gc_seconds": vm.stats.gc_seconds,
-                    "collections": vm.stats.collections,
-                    "counters": vm.stats.snapshot()["counters"],
-                    "violations": len(vm.violation_lines()),
-                    "violation_lines": vm.violation_lines(),
-                }
-        return best
-
-    def server_leg() -> dict:
-        best = None
-        with AssertionService(ServiceConfig(http_port=None)) as service:
-            for _ in range(trials):
-                with ServiceClient("127.0.0.1", service.port) as client:
-                    client.hello()
-                    opened = client.open("bench", workload)
-                    streamed: list = []
-                    result = client.submit(opened["session"], collect=streamed)
-                    client.close_session(opened["session"], collect=streamed)
-                if best is None or result["gc_seconds"] < best["best_gc_seconds"]:
-                    best = {
-                        "best_gc_seconds": result["gc_seconds"],
-                        "collections": result["counters"]["collections"],
-                        "counters": result["counters"],
-                        "violations": len(result["violations"]),
-                        "violation_lines": result["violations"],
-                        "violation_frames_streamed": sum(
-                            1 for f in streamed if f.get("type") == "violation"
-                        ),
-                    }
-        return best
-
-    direct = direct_leg()
-    served = server_leg()
-    counters_match = (
-        direct["counters"] == served["counters"]
-        and direct["violation_lines"] == served["violation_lines"]
-    )
-    # The line sets are compared, then dropped from the payload: hundreds
-    # of rendered reports would dwarf the record.
-    direct.pop("violation_lines")
-    served.pop("violation_lines")
     return {
-        "workload": workload,
-        "trials": trials,
-        "direct": direct,
-        "served": served,
-        "gc_time_ratio": (
-            served["best_gc_seconds"] / direct["best_gc_seconds"]
-            if direct["best_gc_seconds"]
-            else 0.0
-        ),
-        "counters_match": counters_match,
+        "off": _vm_leg(workload, basis, **_QUIET),
+        "on": _vm_leg(workload, basis, observed, assertions=False, telemetry=True),
     }
 
 
-def bench_dtrace(workload: str = "pseudojbb", trials: int = 3) -> dict:
-    """One tenant through the server with end-to-end tracing on vs direct.
+def _path_legs(workload, basis, _stack):
+    # Engine-free, so the legs run the plain and the paths drain, which
+    # differ only by the tag.
+    def leg(track_paths: bool) -> Leg:
+        run = _vm_leg(workload, basis, track_paths=track_paths, **_QUIET)
 
-    The distributed-tracing acceptance bar: a *traced* served run — trace
-    context stamped on every wire frame, request-lifecycle spans recorded
-    around admission and execution, the tenant VM's span stream
-    re-parented under the request — must stay **bit-identical** in
-    GC/assertion counters and violation lines to a direct VM run with
-    tracing off entirely.  The merged multi-track export must also pass
-    :func:`~repro.tracing.export.validate_chrome_trace`; a malformed
-    artifact fails the cell even when the counters agree.
-    """
-    from repro.service import AssertionService, ServiceClient, ServiceConfig
-    from repro.service.session import resolve_workload
-    from repro.tracing.distributed import TraceContext, request_rows
+        def measured():
+            seconds, counters, extras = run()
+            # The one counter tagging changes by design: reported, not compared.
+            extras["path_entries_tagged"] = counters.pop("path_entries_tagged")
+            return seconds, counters, extras
+
+        return measured
+
+    return {"off": leg(False), "on": leg(True)}
+
+
+def _tenant_counters(counters: dict, violation_lines: list) -> dict:
+    """Work counters plus the violation log, compared as a digest (hundreds
+    of rendered reports would dwarf the record)."""
+    digest = hashlib.sha256("\n".join(violation_lines).encode()).hexdigest()
+    return {
+        **counters,
+        "violations": len(violation_lines),
+        "violations_sha256": digest,
+    }
+
+
+def _tenant_leg(workload: SuiteEntry) -> Leg:
+    """The workload on a direct VM configured like a served tenant's
+    (hardened, 2x growth ceiling, telemetry on, tracing off)."""
+
+    def leg():
+        vm = VirtualMachine(
+            heap_bytes=workload.heap_bytes,
+            assertions=True,
+            telemetry=True,
+            hardened=True,
+            max_heap_bytes=workload.heap_bytes * 2,
+        )
+        workload.run(vm)
+        vm.collector.sweep_all()
+        counters = vm.stats.snapshot()["counters"]
+        return vm.stats.gc_seconds, _tenant_counters(counters, vm.violation_lines()), {}
+
+    return leg
+
+
+def _served_leg(service, workload: SuiteEntry) -> Leg:
+    """The workload submitted by name to ``service`` over ``repro-wire/1``."""
+    from repro.service import ServiceClient
+
+    traced = service.tracer is not None
+
+    def leg():
+        with ServiceClient("127.0.0.1", service.port, trace=traced or None) as client:
+            client.hello()
+            opened = client.open("bench", workload.name)
+            streamed: list = []
+            result = client.submit(opened["session"], collect=streamed)
+            client.close_session(opened["session"], collect=streamed)
+        extras = {
+            "completed": result.get("outcome") == "completed",
+            "frames_missed": client.frames_missed,
+            "violation_frames_streamed": sum(
+                1 for f in streamed if f.get("type") == "violation"
+            ),
+        }
+        if traced:
+            extras.update(_trace_export(service))
+        counters = _tenant_counters(result["counters"], result["violations"])
+        return result["gc_seconds"], counters, extras
+
+    return leg
+
+
+def _trace_export(service) -> dict:
+    """The traced server's merged export so far: valid, and how big."""
+    from repro.tracing.distributed import request_rows
     from repro.tracing.export import validate_chrome_trace
 
-    heap_bytes, runner = resolve_workload(workload, asserted=True)
-
-    def direct_leg() -> dict:
-        best = None
-        for _ in range(trials):
-            vm = VirtualMachine(
-                heap_bytes=heap_bytes,
-                assertions=True,
-                telemetry=True,
-                hardened=True,
-                max_heap_bytes=heap_bytes * 2,
-            )
-            runner(vm)
-            vm.collector.sweep_all()
-            if best is None or vm.stats.gc_seconds < best["best_gc_seconds"]:
-                best = {
-                    "best_gc_seconds": vm.stats.gc_seconds,
-                    "counters": vm.stats.snapshot()["counters"],
-                    "violation_lines": vm.violation_lines(),
-                }
-        return best
-
-    def traced_leg() -> tuple[dict, dict, list]:
-        best = None
-        with AssertionService(ServiceConfig(http_port=None, tracing=True)) as service:
-            for _ in range(trials):
-                ctx = TraceContext.new()
-                with ServiceClient("127.0.0.1", service.port, trace=ctx) as client:
-                    client.hello()
-                    opened = client.open("bench", workload)
-                    result = client.submit(opened["session"])
-                    client.close_session(opened["session"])
-                if best is None or result["gc_seconds"] < best["best_gc_seconds"]:
-                    best = {
-                        "best_gc_seconds": result["gc_seconds"],
-                        "counters": result["counters"],
-                        "violation_lines": result["violations"],
-                        "trace_id": opened["trace_id"],
-                    }
-            payload = service.merged_trace_payload()
-            rows = request_rows(service.tracer)
-        return best, payload, rows
-
-    direct = direct_leg()
-    traced, payload, rows = traced_leg()
-    counters_match = (
-        direct["counters"] == traced["counters"]
-        and direct["violation_lines"] == traced["violation_lines"]
-    )
-    direct.pop("violation_lines")
-    traced.pop("violation_lines")
+    payload = service.merged_trace_payload()
+    rows = request_rows(service.tracer)
     return {
-        "workload": workload,
-        "trials": trials,
-        "direct": direct,
-        "traced": traced,
-        "gc_time_ratio": (
-            traced["best_gc_seconds"] / direct["best_gc_seconds"]
-            if direct["best_gc_seconds"]
-            else 0.0
-        ),
-        "counters_match": counters_match,
         "trace_valid": validate_chrome_trace(payload) == [],
         "trace_events": len(payload["traceEvents"]),
         "request_spans": len(rows),
+        "requests_completed": all(row["outcome"] == "completed" for row in rows),
         "max_delivery_lag_ms": max(
             [row["max_delivery_lag_s"] * 1e3 for row in rows] or [0.0]
         ),
     }
+
+
+def _service_legs(workload, basis, stack, tracing: bool = False):
+    from repro.service import AssertionService, ServiceConfig
+
+    if basis != "gc":
+        raise ValueError(f"a served run reports only its pause time, not {basis!r}")
+
+    config = ServiceConfig(http_port=None, tracing=tracing)
+    service = stack.enter_context(AssertionService(config))
+    return {
+        "direct": _tenant_leg(workload),
+        ("traced" if tracing else "served"): _served_leg(service, workload),
+    }
+
+
+def _dtrace_legs(workload, basis, stack):
+    return _service_legs(workload, basis, stack, tracing=True)
+
+
+@dataclass(frozen=True)
+class Feature:
+    """One on/off cost: how to build its two legs for a workload."""
+
+    title: str
+    #: ``legs(workload, basis, stack)`` -> ``{baseline: Leg, feature: Leg}``,
+    #: each leg timed on ``basis``; ``stack`` holds what must outlive every
+    #: trial (a server).
+    legs: Callable[[SuiteEntry, str, ExitStack], dict]
+    #: What the legs time: ``"gc"`` (pause), ``"mark"``, or ``"wall"``.
+    basis: str = "gc"
+    #: Run the workload's asserted variant (the served features do).
+    asserted: bool = False
+
+
+#: Every on/off cost the repo measures, by ``BENCH_perf.json`` section.
+FEATURES: dict[str, Feature] = {
+    "abl-snapshot": Feature("off -> every-GC snapshot capture", _snapshot_legs),
+    "abl-tracing": Feature("off -> every-phase spans", _tracing_legs),
+    "abl-faults": Feature("off -> armed empty-plan fault injector", _faults_legs),
+    # The walks run mutator-side, outside the pause timer, like the sentinel.
+    "abl-paranoid": Feature(
+        "off -> per-GC wellformedness walks", _paranoid_legs, basis="wall"
+    ),
+    "abl-monitor": Feature("telemetry only -> hub + SLO catalog", _monitor_legs),
+    "abl-telemetry": Feature("off -> telemetry on", _telemetry_legs),
+    # The tag costs nothing outside the mark phase.
+    "abl-path": Feature(
+        "plain drain -> low-bit path tagging", _path_legs, basis="mark"
+    ),
+    "abl-service": Feature(
+        "direct VM -> through the session server", _service_legs, asserted=True
+    ),
+    "abl-dtrace": Feature(
+        "direct VM -> traced session server", _dtrace_legs, asserted=True
+    ),
+}
+
+
+def _summarize(legs: dict) -> dict:
+    """Fold every trial's extras of both legs into one value per key:
+    a flag holds only if it held in every trial, a number is its max."""
+    out: dict = {}
+    for leg in legs.values():
+        for extras in leg["extras"]:
+            for key, value in extras.items():
+                if key not in out:
+                    out[key] = value
+                elif isinstance(value, bool):
+                    out[key] = out[key] and value
+                else:
+                    out[key] = max(out[key], value)
+    return out
+
+
+def run_ablation(section: str, workload: str = "pseudojbb", trials: int = 3) -> dict:
+    """Measure one row of :data:`FEATURES` on ``workload``.
+
+    The workload name resolves exactly as the session server resolves it,
+    so a direct leg and a served leg of one name run one program.  The
+    section's extras are folded to top-level keys by :func:`_summarize`.
+    """
+    from repro.service.session import resolve_workload
+
+    feature = FEATURES[section]
+    heap_bytes, runner = resolve_workload(workload, asserted=feature.asserted)
+    entry = SuiteEntry(workload, heap_bytes, runner)
+    with ExitStack() as stack:
+        result = ablate(
+            section,
+            feature.legs(entry, feature.basis, stack),
+            workload=workload,
+            trials=trials,
+            basis=feature.basis,
+        )
+    result.update(_summarize(result["legs"]))
+    return result
+
+
+def render_ablation(result: dict, title: str) -> str:
+    """One ablation as two lines: the header, then means ± CI90 and the
+    ratio, the folded extras, and the counter verdict."""
+    base, leg = result["legs"].values()
+    notes = ", ".join(
+        f"{key} {value:.2f}" if isinstance(value, float) else f"{key} {value}"
+        for key, value in _summarize(result["legs"]).items()
+    )
+    return (
+        f"{result['name']} ({title}):\n"
+        f"  {result['workload']:10} {result['basis']} time "
+        f"{base['mean_s'] * 1e3:.1f}±{base['ci90_s'] * 1e3:.1f}ms -> "
+        f"{leg['mean_s'] * 1e3:.1f}±{leg['ci90_s'] * 1e3:.1f}ms "
+        f"({result['ratio']:.2f}x, {result['trials']} interleaved trials), "
+        + (notes + ", " if notes else "")
+        + f"counters {'match' if result['counters_match'] else 'DRIFT'}"
+    )
 
 
 def bench_loadgen(sessions: int = 50, rate: float = 200.0, seed: int = 0) -> dict:
@@ -830,41 +641,23 @@ def bench_pauses(workloads=PAUSE_WORKLOADS) -> dict:
 
 
 def perf_payload(quick: bool = False) -> dict:
-    """Run all three benchmarks; machine-readable with provenance."""
+    """Run every benchmark; machine-readable with provenance."""
+    trials = 2 if quick else 5
     if quick:
-        trace = bench_trace(n_nodes=4_000, trials=3)
-        alloc = bench_alloc(n_allocs=10_000, trials=2)
+        trace = bench_trace(n_nodes=4_000)
+        alloc = bench_alloc(n_allocs=10_000, trials=trials)
         pauses = bench_pauses(("pseudojbb",))
-        snapshot = bench_snapshot(trials=2)
-        tracing = bench_tracing(trials=2)
-        faults = bench_faults(trials=2)
-        paranoid = bench_paranoid(trials=2)
-        monitor = bench_monitor(trials=2)
-        service = bench_service(trials=2)
-        dtrace = bench_dtrace(trials=2)
-        loadgen = bench_loadgen(sessions=12)
     else:
         trace = bench_trace()
-        alloc = bench_alloc()
+        alloc = bench_alloc(trials=trials)
         pauses = bench_pauses()
-        snapshot = bench_snapshot()
-        tracing = bench_tracing()
-        faults = bench_faults()
-        paranoid = bench_paranoid()
-        monitor = bench_monitor()
-        service = bench_service()
-        dtrace = bench_dtrace()
-        loadgen = bench_loadgen()
+    ablations = {section: run_ablation(section, trials=trials) for section in FEATURES}
+    loadgen = bench_loadgen(sessions=12) if quick else bench_loadgen()
     counters_match = (
         trace["counters_match"]
-        and snapshot["counters_match"]
-        and tracing["counters_match"]
-        and faults["counters_match"]
-        and paranoid["counters_match"]
-        and monitor["counters_match"]
-        and service["counters_match"]
-        and dtrace["counters_match"]
-        and dtrace["trace_valid"]
+        and alloc["counters_match"]
+        and all(row["counters_match"] for row in ablations.values())
+        and ablations["abl-dtrace"]["trace_valid"]
         and all(row["counters_match"] for row in pauses.values())
     )
     return {
@@ -875,13 +668,7 @@ def perf_payload(quick: bool = False) -> dict:
         "trace": trace,
         "alloc": alloc,
         "pauses": pauses,
-        "abl-snapshot": snapshot,
-        "abl-tracing": tracing,
-        "abl-faults": faults,
-        "abl-paranoid": paranoid,
-        "abl-monitor": monitor,
-        "abl-service": service,
-        "abl-dtrace": dtrace,
+        **ablations,
         "service-loadgen": loadgen,
         "counters_match": counters_match,
     }
@@ -898,20 +685,23 @@ def dump_perf(payload: dict, path: str = "BENCH_perf.json") -> str:
 def render_perf(payload: dict) -> str:
     """Human-readable summary of a perf payload."""
     trace, alloc = payload["trace"], payload["alloc"]
-    lines = [
-        "trace microbench (generic -> specialized drain):",
-        f"  edges/s: {trace['generic']['edges_per_second']:,.0f} -> "
-        f"{trace['specialized']['edges_per_second']:,.0f} "
-        f"({trace['speedup']:.2f}x, {trace['generic']['edges_traced']} edges, "
-        f"counters {'match' if trace['counters_match'] else 'DRIFT'})",
+    lines = ["trace microbench (edges/s by fused drain, same heap):"]
+    lines.append(
+        "  "
+        + ", ".join(
+            f"{name} {row['edges_per_second']:,.0f}"
+            for name, row in trace["drains"].items()
+        )
+        + f" ({trace['drains']['plain']['edges_traced']} edges, "
+        f"counters {'match' if trace['counters_match'] else 'DRIFT'})"
+    )
+    lines.append(
         f"  path probe: max depth {trace['path_probe']['max_depth']}, "
-        f"{trace['path_probe']['sampled_paths']} cheap paths sampled",
-        "alloc microbench (uncached -> run cache):",
-        f"  allocs/s: {alloc['uncached']['allocs_per_second']:,.0f} -> "
-        f"{alloc['cached']['allocs_per_second']:,.0f} "
-        f"({alloc['speedup']:.2f}x, fast-hit rate {alloc['fast_hit_rate']:.1%})",
-        "pause comparison (eager vs lazy sweep):",
-    ]
+        f"{trace['path_probe']['sampled_paths']} cheap paths sampled"
+    )
+    lines.append(render_ablation(alloc, "uncached -> run cache"))
+    lines.append(f"  fast-hit rate {alloc['fast_hit_rate']:.1%}")
+    lines.append("pause comparison (eager vs lazy sweep):")
     for name, row in sorted(payload["pauses"].items()):
         eager, lazy = row["eager"], row["lazy"]
         lines.append(
@@ -922,86 +712,9 @@ def render_perf(payload: dict) -> str:
             f"mean debt {lazy['mean_sweep_debt_chunks']:.1f} chunks, "
             f"counters {'match' if row['counters_match'] else 'DRIFT'}"
         )
-    snap = payload.get("abl-snapshot")
-    if snap is not None:
-        lines.append("snapshot-capture ablation (off -> every-GC capture):")
-        lines.append(
-            f"  {snap['workload']:10} gc time "
-            f"{snap['off']['best_gc_seconds'] * 1e3:.1f}ms -> "
-            f"{snap['capture']['best_gc_seconds'] * 1e3:.1f}ms "
-            f"({snap['gc_time_ratio']:.2f}x), "
-            f"{snap['capture']['snapshots_written']} snapshots, "
-            f"counters {'match' if snap['counters_match'] else 'DRIFT'}"
-        )
-    spans = payload.get("abl-tracing")
-    if spans is not None:
-        lines.append("span-tracing ablation (off -> every-phase spans):")
-        lines.append(
-            f"  {spans['workload']:10} gc time "
-            f"{spans['off']['best_gc_seconds'] * 1e3:.1f}ms -> "
-            f"{spans['trace']['best_gc_seconds'] * 1e3:.1f}ms "
-            f"({spans['gc_time_ratio']:.2f}x), "
-            f"{spans['trace']['spans_recorded']} spans, "
-            f"counters {'match' if spans['counters_match'] else 'DRIFT'}"
-        )
-    faults = payload.get("abl-faults")
-    if faults is not None:
-        lines.append("fault-injection ablation (off -> armed empty-plan injector):")
-        lines.append(
-            f"  {faults['workload']:10} gc time "
-            f"{faults['off']['best_gc_seconds'] * 1e3:.1f}ms -> "
-            f"{faults['armed']['best_gc_seconds'] * 1e3:.1f}ms "
-            f"({faults['gc_time_ratio']:.2f}x), "
-            f"recovery activity {faults['recovery_activity']}, "
-            f"counters {'match' if faults['counters_match'] else 'DRIFT'}"
-        )
-    paranoid = payload.get("abl-paranoid")
-    if paranoid is not None:
-        lines.append("paranoid-walker ablation (off -> per-GC wellformedness walks):")
-        lines.append(
-            f"  {paranoid['workload']:10} wall time "
-            f"{paranoid['off']['best_wall_seconds'] * 1e3:.1f}ms -> "
-            f"{paranoid['paranoid']['best_wall_seconds'] * 1e3:.1f}ms "
-            f"({paranoid['wall_time_ratio']:.2f}x), "
-            f"{paranoid['paranoid_walks']} walks, "
-            f"counters {'match' if paranoid['counters_match'] else 'DRIFT'}"
-        )
-    monitor = payload.get("abl-monitor")
-    if monitor is not None:
-        lines.append("monitoring ablation (telemetry-only -> hub + SLO catalog):")
-        lines.append(
-            f"  {monitor['workload']:10} gc time "
-            f"{monitor['off']['best_gc_seconds'] * 1e3:.1f}ms -> "
-            f"{monitor['armed']['best_gc_seconds'] * 1e3:.1f}ms "
-            f"({monitor['gc_time_ratio']:.2f}x), "
-            f"{monitor['alerts_seen']} alert transitions, "
-            f"counters {'match' if monitor['counters_match'] else 'DRIFT'}"
-        )
-    service = payload.get("abl-service")
-    if service is not None:
-        lines.append("service ablation (direct VM -> through the session server):")
-        lines.append(
-            f"  {service['workload']:10} gc time "
-            f"{service['direct']['best_gc_seconds'] * 1e3:.1f}ms -> "
-            f"{service['served']['best_gc_seconds'] * 1e3:.1f}ms "
-            f"({service['gc_time_ratio']:.2f}x), "
-            f"{service['served']['violations']} violations "
-            f"({service['served'].get('violation_frames_streamed', 0)} streamed), "
-            f"counters {'match' if service['counters_match'] else 'DRIFT'}"
-        )
-    dtrace = payload.get("abl-dtrace")
-    if dtrace is not None:
-        lines.append("distributed-tracing ablation (direct VM -> traced server):")
-        lines.append(
-            f"  {dtrace['workload']:10} gc time "
-            f"{dtrace['direct']['best_gc_seconds'] * 1e3:.1f}ms -> "
-            f"{dtrace['traced']['best_gc_seconds'] * 1e3:.1f}ms "
-            f"({dtrace['gc_time_ratio']:.2f}x), "
-            f"{dtrace['trace_events']} events / {dtrace['request_spans']} request "
-            f"spans exported ({'valid' if dtrace['trace_valid'] else 'INVALID'}), "
-            f"max delivery lag {dtrace['max_delivery_lag_ms']:.2f}ms, "
-            f"counters {'match' if dtrace['counters_match'] else 'DRIFT'}"
-        )
+    for section, feature in FEATURES.items():
+        if section in payload:
+            lines.append(render_ablation(payload[section], feature.title))
     loadgen = payload.get("service-loadgen")
     if loadgen is not None:
         lines.append("service load generator (open-loop Poisson arrivals):")

@@ -488,9 +488,9 @@ class Collector:
         :class:`~repro.gc.verify.HeapVerificationError` naming the phase.
 
         Callers gate on ``if self.paranoid:`` and invoke this *outside* the
-        timed pause, so ``gc_time_ratio`` for the off configuration stays at
-        1.00× and the on configuration charges the walk to wall clock, not to
-        the pause ledger.
+        timed pause, so the walk never shows up in ``gc_seconds``: the
+        on configuration charges it to wall clock (``abl-paranoid`` measures
+        on that basis), not to the pause ledger.
         """
         if self.vm is None:
             return

@@ -40,10 +40,11 @@ in locals and flush once per drain.  When the engine declares
 ``INLINE_HEADER_CHECKS`` (the assertion engine does), its per-object
 duties are inlined too and the ``*_slow`` hooks run only when a header
 bit shows actual assertion work; other engines get every encounter via
-the full hooks.  The original method-per-edge implementation survives as
-``specialized=False`` — it still serves the engine-without-paths
-combination and is the "before" leg of the trace microbenchmark
-(``python -m repro bench``).
+the full hooks.  Every configuration no fused loop covers — an engine
+without path tracking, an engine that does not declare
+``INLINE_HEADER_CHECKS``, snapshot capture on a moving collector — runs
+one general loop with the feature flags hoisted into locals
+(:meth:`Tracer._drain_general`).
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class Tracer:
         "stats",
         "engine",
         "track_paths",
-        "specialized",
         "snapshot",
         "_stack",
         "_root_descs",
@@ -86,14 +86,12 @@ class Tracer:
         stats: GcStats,
         engine=None,
         track_paths: bool = True,
-        specialized: bool = True,
         snapshot=None,
     ):
         self.heap = heap
         self.stats = stats
         self.engine = engine
         self.track_paths = track_paths
-        self.specialized = specialized
         #: Optional :class:`repro.snapshot.capture.SnapshotSink`.  When set,
         #: the drain switches to the snapshot-recording variant; ``None``
         #: costs exactly one attribute test per drain.
@@ -132,26 +130,16 @@ class Tracer:
         if self.snapshot is not None:
             self._drain_snapshot()
             return
-        if not self.specialized:
-            if self.track_paths:
-                self._drain_with_paths()
-            else:
-                self._drain_generic_plain()
-            return
-        if self.engine is None:
+        engine = self.engine
+        if engine is None:
             if self.track_paths:
                 self._drain_paths()
             else:
                 self._drain_plain()
-        elif self.track_paths:
-            if getattr(self.engine, "INLINE_HEADER_CHECKS", False):
-                self._drain_paths_engine()
-            else:
-                self._drain_paths_engine_hooks()
+        elif self.track_paths and getattr(engine, "INLINE_HEADER_CHECKS", False):
+            self._drain_paths_engine()
         else:
-            # Engine without path tracking: an unusual ablation config;
-            # the generic loop handles it without a fourth specialization.
-            self._drain_generic_plain()
+            self._drain_general()
 
     # -- specialized fused drains -------------------------------------------------
     #
@@ -320,59 +308,6 @@ class Tracer:
             stats.header_bit_checks += header_checks
             stats.instance_count_increments += instance_incrs
 
-    def _drain_paths_engine_hooks(self) -> None:
-        """Tagging plus the full encounter hooks, for engines that do not
-        declare ``INLINE_HEADER_CHECKS`` (custom probes and instrumented
-        engines get every encounter, not just the assertion-relevant ones)."""
-        stack = self._stack
-        table = self._table
-        push = stack.append
-        mark_bit = hdr.MARK_BIT
-        tag_bit = ADDRESS_TAG_BIT
-        engine = self.engine
-        on_first = engine.on_first_encounter
-        on_repeat = engine.on_repeat_encounter
-        objects = edges = tagged = 0
-        try:
-            while stack:
-                entry = stack.pop()
-                if entry & tag_bit:
-                    continue
-                push(entry | tag_bit)
-                tagged += 1
-                obj = table[entry]
-                cls = obj.cls
-                if cls.is_array:
-                    if not cls.element_kind.is_reference:
-                        continue
-                    children = obj.slots
-                else:
-                    ref_slots = cls.ref_slots
-                    if not ref_slots:
-                        continue
-                    slots = obj.slots
-                    children = [slots[i] for i in ref_slots]
-                for child in children:
-                    if child == NULL:
-                        continue
-                    edges += 1
-                    cobj = table[child]
-                    status = cobj.status
-                    if status & mark_bit:
-                        on_repeat(cobj, self, obj)
-                        continue
-                    cobj.status = status | mark_bit
-                    objects += 1
-                    on_first(cobj, self, obj)
-                    push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
-        finally:
-            stats = self.stats
-            stats.objects_traced += objects
-            stats.edges_traced += edges
-            stats.path_entries_tagged += tagged
-
     # -- snapshot-recording drain ---------------------------------------------------
 
     def _drain_snapshot(self) -> None:
@@ -381,18 +316,13 @@ class Tracer:
         sink.
 
         Two variants, chosen once per drain: the paths-no-engine
-        configuration (what ``every_n_gcs`` captures on an
-        assertions-off VM run as — the ``abl-snapshot`` regime) gets a
-        fused loop whose per-edge body is byte-for-byte
-        :meth:`_drain_paths`, so capture pays only the row append; every
-        other configuration goes through the generic loop with the mode
-        flags hoisted into locals.  Both keep exact counter parity with
-        whichever normal drain the collection would otherwise have used
-        (``path_entries_tagged`` only under path tracking,
-        ``header_bit_checks``/``instance_count_increments`` only in
-        inline-engine mode).  The row must be recorded *before* the
-        leaf-object ``continue``s, and array children are copied —
-        ``obj.slots`` is the mutator's live buffer, not ours to keep.
+        configuration on a non-moving collector (what ``every_n_gcs``
+        captures on an assertions-off mark-sweep run as — the
+        ``abl-snapshot`` regime) gets a fused loop whose per-edge body is
+        byte-for-byte :meth:`_drain_paths`, so capture pays only the row
+        append; every other configuration goes through
+        :meth:`_drain_general`.  Both keep exact counter parity with
+        whichever drain the collection would otherwise have used.
         """
         # The row buffer allocates tens of thousands of small tuples in one
         # burst, which trips the host interpreter's cyclic GC *inside the
@@ -403,13 +333,10 @@ class Tracer:
         if host_gc_was_enabled:
             _host_gc.disable()
         try:
-            if self.engine is None and self.track_paths:
-                if self.snapshot.moving:
-                    self._drain_snapshot_paths()
-                else:
-                    self._drain_snapshot_paths_addr()
+            if self.engine is None and self.track_paths and not self.snapshot.moving:
+                self._drain_snapshot_paths_addr()
             else:
-                self._drain_snapshot_generic()
+                self._drain_general()
         finally:
             if host_gc_was_enabled:
                 _host_gc.enable()
@@ -466,64 +393,26 @@ class Tracer:
             stats.edges_traced += edges
             stats.path_entries_tagged += tagged
 
-    def _drain_snapshot_paths(self) -> None:
-        """Snapshot capture in the Infrastructure configuration:
-        :meth:`_drain_paths` plus one row append per live object."""
-        sink = self.snapshot
-        rows = sink.rows
-        record = rows.append
-        stack = self._stack
-        table = self._table
-        push = stack.append
-        mark_bit = hdr.MARK_BIT
-        tag_bit = ADDRESS_TAG_BIT
-        objects = edges = tagged = 0
-        try:
-            while stack:
-                entry = stack.pop()
-                if entry & tag_bit:
-                    continue
-                push(entry | tag_bit)
-                tagged += 1
-                obj = table[entry]
-                cls = obj.cls
-                if cls.is_array:
-                    if not cls.element_kind.is_reference:
-                        record((entry, obj, obj.alloc_seq, None))
-                        continue
-                    children = obj.slots[:]
-                else:
-                    ref_slots = cls.ref_slots
-                    if not ref_slots:
-                        record((entry, obj, obj.alloc_seq, None))
-                        continue
-                    slots = obj.slots
-                    children = [slots[i] for i in ref_slots]
-                record((entry, obj, obj.alloc_seq, children))
-                for child in children:
-                    if child == NULL:
-                        continue
-                    edges += 1
-                    cobj = table[child]
-                    status = cobj.status
-                    if status & mark_bit:
-                        continue
-                    cobj.status = status | mark_bit
-                    objects += 1
-                    push(child)
-        except KeyError as exc:
-            raise InvalidAddressError(f"no live object at {exc.args[0]:#x}") from None
-        finally:
-            stats = self.stats
-            stats.objects_traced += objects
-            stats.edges_traced += edges
-            stats.path_entries_tagged += tagged
+    # -- the general drain -----------------------------------------------------------
 
-    def _drain_snapshot_generic(self) -> None:
-        """Snapshot capture for every other tracer configuration."""
+    def _drain_general(self) -> None:
+        """Every configuration without a fused loop, feature flags hoisted.
+
+        Keeps exact counter parity with the fused drains:
+        ``path_entries_tagged`` only under path tracking,
+        ``header_bit_checks``/``instance_count_increments`` only in
+        inline-engine mode (an engine without ``INLINE_HEADER_CHECKS``
+        gets every encounter through its full hooks and counts for
+        itself).  With a snapshot sink attached, a non-moving collector
+        records the bare address; a moving one records a frozen
+        ``(address, obj, alloc_seq, children)`` row, written *before* the
+        leaf-object ``continue``s, with array children copied —
+        ``obj.slots`` is the mutator's live buffer, not ours to keep.
+        """
         sink = self.snapshot
-        rows = sink.rows
-        record = rows.append
+        record = sink.rows.append if sink is not None else None
+        freeze = sink is not None and sink.moving
+        record_address = sink is not None and not freeze
         stack = self._stack
         table = self._table
         push = stack.append
@@ -532,7 +421,6 @@ class Tracer:
         first_slow_bits = hdr.DEAD_BIT | hdr.OWNEE_BIT
         unshared_bit = hdr.UNSHARED_BIT
         track = self.track_paths
-        freeze = sink.moving
         engine = self.engine
         inline = engine is not None and getattr(engine, "INLINE_HEADER_CHECKS", False)
         if inline:
@@ -550,7 +438,7 @@ class Tracer:
                         continue
                     push(entry | tag_bit)
                     tagged += 1
-                if not freeze:
+                if record_address:
                     record(entry)
                 obj = table[entry]
                 cls = obj.cls
@@ -609,36 +497,7 @@ class Tracer:
                 stats.header_bit_checks += header_checks
                 stats.instance_count_increments += instance_incrs
 
-    # -- generic (pre-specialization) drain ----------------------------------------
-
-    def _drain_with_paths(self) -> None:
-        stack = self._stack
-        heap = self.heap
-        stats = self.stats
-        while stack:
-            entry = stack.pop()
-            if entry & ADDRESS_TAG_BIT:
-                # Low bit set: all objects reachable from it are done.
-                continue
-            stack.append(entry | ADDRESS_TAG_BIT)
-            stats.path_entries_tagged += 1
-            self._scan(heap.get(entry))
-
-    def _drain_generic_plain(self) -> None:
-        stack = self._stack
-        heap = self.heap
-        while stack:
-            self._scan(heap.get(stack.pop()))
-
-    def _scan(self, obj: HeapObject) -> None:
-        """Visit every outgoing reference of ``obj``."""
-        heap = self.heap
-        stats = self.stats
-        for child in obj.reference_slots():
-            if child == NULL:
-                continue
-            stats.edges_traced += 1
-            self._reach(heap.get(child), parent=obj)
+    # -- root scan -------------------------------------------------------------------
 
     def _reach(
         self,

@@ -46,8 +46,8 @@ from typing import Callable, Optional
 from repro.errors import ReproError, SessionKilled, WireProtocolError
 from repro.runtime.vm import VirtualMachine
 from repro.telemetry.events import GcEvent
-from repro.workloads.suite import build_suite
-from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
+from repro.workloads import suite
+from repro.workloads.swapleak import SwapLeakConfig
 
 #: Heap budget for the ``swapleak`` pseudo-workload (not in the suite
 #: table; mirrors the CLI default for its leak-shaped live set).
@@ -122,23 +122,20 @@ def resolve_workload(
     not a server fault.
     """
     overrides = overrides or {}
-    if name == "swapleak":
-        config = SwapLeakConfig(
+    resolved = suite.resolve_workload(
+        name,
+        swapleak=lambda: SwapLeakConfig(
             array_size=int(overrides.get("array_size", 32)),
             swaps=int(overrides.get("swaps", 64)),
             gc_every_swaps=int(overrides.get("gc_every_swaps", 8)),
-            assert_dead_swapped=asserted,
-        )
-        return SWAPLEAK_HEAP_BYTES, lambda vm: run_swapleak(vm, config)
-    suite = build_suite()
-    entry = suite.get(name)
-    if entry is None:
-        known = ", ".join(sorted(set(suite) | {"swapleak"}))
+        ),
+        swapleak_heap_bytes=SWAPLEAK_HEAP_BYTES,
+        asserted=asserted,
+    )
+    if resolved is None:
+        known = ", ".join(sorted(suite.workload_names()))
         raise WireProtocolError(f"unknown workload {name!r} (known: {known})")
-    runner = entry.run
-    if asserted and entry.run_with_assertions is not None:
-        runner = entry.run_with_assertions
-    return entry.heap_bytes, runner
+    return resolved
 
 
 class TenantSession:

@@ -3,7 +3,7 @@
 Piggybacked capture follows the tracer-specialization protocol of
 ``INLINE_HEADER_CHECKS``: when a :class:`SnapshotPolicy` decides a
 collection should be captured, the collector hands the tracer a
-:class:`SnapshotSink` and the drain switches to a fused variant
+:class:`SnapshotSink` and the drain switches to a recording variant
 (:meth:`repro.gc.tracer.Tracer._drain_snapshot`) that appends one compact
 row per live object as a by-product of the marking it is already doing —
 O(1) extra memory per object, no second heap walk.  Rows are recorded *at

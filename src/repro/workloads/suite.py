@@ -13,13 +13,14 @@ were calibrated with :func:`measure_live_peak`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from repro.runtime.vm import VirtualMachine
 from repro.workloads.db import DbConfig, run_db
 from repro.workloads.jbb.driver import JbbConfig, run_pseudojbb
 from repro.workloads.lusearch import LusearchConfig, run_lusearch
+from repro.workloads.swapleak import SwapLeakConfig, run_swapleak
 from repro.workloads.synthetic import PROFILES, run_synthetic
 
 Runner = Callable[[VirtualMachine], object]
@@ -122,6 +123,41 @@ def build_suite() -> dict[str, SuiteEntry]:
         run_with_assertions=_jbb_asserted,
     )
     return entries
+
+
+def workload_names() -> list[str]:
+    """Every name :func:`resolve_workload` accepts: the suite members in
+    order, then ``swapleak``."""
+    return sorted(build_suite()) + ["swapleak"]
+
+
+def resolve_workload(
+    name: str,
+    *,
+    swapleak: Callable[[], SwapLeakConfig],
+    swapleak_heap_bytes: int,
+    asserted: bool = False,
+) -> Optional[tuple[int, Runner]]:
+    """Map a workload name to ``(heap_bytes, runner)``; ``None`` if unknown.
+
+    Accepts every suite member (at its calibrated heap) plus the
+    ``swapleak`` pseudo-workload, whose knobs and heap differ by caller:
+    ``swapleak`` builds the caller's config (called only for that name)
+    and ``swapleak_heap_bytes`` sizes its heap.  ``asserted`` picks the
+    suite member's asserted variant when it has one and sets swapleak's
+    ``assert_dead_swapped``.  Reporting an unknown name is the caller's
+    job, in its own terms (a wire error, a usage exit code).
+    """
+    if name == "swapleak":
+        config = replace(swapleak(), assert_dead_swapped=asserted)
+        return swapleak_heap_bytes, lambda vm: run_swapleak(vm, config)
+    entry = build_suite().get(name)
+    if entry is None:
+        return None
+    runner = entry.run
+    if asserted and entry.run_with_assertions is not None:
+        runner = entry.run_with_assertions
+    return entry.heap_bytes, runner
 
 
 def measure_live_peak(entry: SuiteEntry, probe_heap_bytes: int = 64 << 20) -> dict:

@@ -9,6 +9,7 @@ from repro.bench.methodology import (
     Measurement,
     OverheadRow,
     Sample,
+    ablate,
     build_vm,
     confidence_interval_90,
     geometric_mean,
@@ -112,3 +113,67 @@ class TestTrials:
     def test_empty_sample_counters(self):
         sample = Sample("x", Config.BASE)
         assert sample.counters() == {}
+
+
+class _FakeLeg:
+    """A leg with scripted timings and counters that logs every call."""
+
+    def __init__(self, name, calls, seconds, counters=None):
+        self.name = name
+        self.calls = calls
+        self.seconds = list(seconds)
+        self.counters = counters or [{"objects": 10}] * len(self.seconds)
+        self.trial = 0
+
+    def __call__(self):
+        self.calls.append(self.name)
+        i = self.trial
+        self.trial += 1
+        return self.seconds[i], dict(self.counters[i]), {"trial": i}
+
+
+class TestAblate:
+    def _legs(self, off_seconds, on_seconds, on_counters=None):
+        calls = []
+        legs = {
+            "off": _FakeLeg("off", calls, off_seconds),
+            "on": _FakeLeg("on", calls, on_seconds, on_counters),
+        }
+        return legs, calls
+
+    def test_first_leg_alternates_between_rounds(self):
+        legs, calls = self._legs([1.0] * 4, [1.0] * 4)
+        result = ablate("x", legs, workload="w", trials=4, basis="gc")
+        assert calls == ["off", "on", "on", "off", "off", "on", "on", "off"]
+        assert result["first_legs"] == ["off", "on", "off", "on"]
+
+    def test_reports_mean_ci90_and_ratio_of_means(self):
+        off = [1.0, 1.2, 0.8]
+        on = [2.0, 2.5, 1.5]
+        legs, _calls = self._legs(off, on)
+        result = ablate("x", legs, workload="w", trials=3, basis="wall")
+        assert result["legs"]["off"]["mean_s"] == pytest.approx(mean(off))
+        assert result["legs"]["on"]["mean_s"] == pytest.approx(mean(on))
+        assert result["legs"]["off"]["ci90_s"] == confidence_interval_90(off)
+        assert result["legs"]["on"]["ci90_s"] == confidence_interval_90(on)
+        assert result["legs"]["on"]["seconds"] == on
+        assert result["ratio"] == pytest.approx(mean(on) / mean(off))
+        assert (result["workload"], result["basis"], result["trials"]) == ("w", "wall", 3)
+        assert result["counters_match"]
+
+    def test_one_drifting_trial_breaks_counters_match(self):
+        # The best (fastest) trial of each leg agrees; a slower one does not.
+        counters = [{"objects": 10}, {"objects": 11}, {"objects": 10}]
+        legs, _calls = self._legs([1.0] * 3, [0.5, 2.0, 3.0], counters)
+        result = ablate("x", legs, workload="w", trials=3, basis="gc")
+        assert not result["counters_match"]
+        assert result["legs"]["on"]["counters"] == {"objects": 10}
+
+    def test_keeps_every_trials_extras(self):
+        legs, _calls = self._legs([1.0] * 3, [1.0] * 3)
+        result = ablate("x", legs, workload="w", trials=3, basis="gc")
+        assert result["legs"]["on"]["extras"] == [{"trial": 0}, {"trial": 1}, {"trial": 2}]
+
+    def test_exactly_two_legs(self):
+        with pytest.raises(ValueError):
+            ablate("x", {"only": lambda: (1.0, {}, {})}, workload="w", trials=1, basis="gc")

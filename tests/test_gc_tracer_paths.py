@@ -1,9 +1,10 @@
 """The §2.7 path-tracking worklist: full root-to-object paths."""
 
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.reporting import AssertionKind, HeapPath, PathEntry
@@ -14,6 +15,7 @@ from repro.heap import header as hdr
 from repro.heap.layout import ADDRESS_TAG_BIT, NULL
 from repro.heap.object_model import FieldKind
 from repro.runtime.vm import VirtualMachine
+from repro.snapshot.capture import SnapshotSink
 from repro.verify.modelcheck import default_cells
 from tests.conftest import build_chain, make_node_class
 
@@ -512,3 +514,228 @@ class TestIncrementalPathCache:
             assert violation.path.type_names() == ["Node"] * (
                 3 if violation.site == "mid" else 5
             )
+
+
+# -- every drain the dispatcher can select ----------------------------------------
+
+
+class _InlineStub:
+    """An engine declaring ``INLINE_HEADER_CHECKS``: the drain calls its slow
+    hooks only for header bits that show assertion work."""
+
+    INLINE_HEADER_CHECKS = True
+
+    def __init__(self):
+        self.calls = []
+
+    def _note(self, kind, obj, tracer, parent):
+        parent_address = parent.address if parent is not None else None
+        path = tracer.current_path_addresses(obj.address)
+        self.calls.append((kind, obj.address, parent_address, path))
+
+    def on_first_encounter_slow(self, obj, tracer, parent):
+        self._note("first-slow", obj, tracer, parent)
+
+    def on_repeat_encounter_slow(self, obj, tracer, parent):
+        self._note("repeat-slow", obj, tracer, parent)
+
+    # The root scan uses the full hooks.
+    def on_first_encounter(self, obj, tracer, parent):
+        self._note("first", obj, tracer, parent)
+
+    def on_repeat_encounter(self, obj, tracer, parent):
+        self._note("repeat", obj, tracer, parent)
+
+
+class _HooksStub(_InlineStub):
+    """An engine without ``INLINE_HEADER_CHECKS``: every encounter calls it."""
+
+    INLINE_HEADER_CHECKS = False
+
+
+DRAIN_CONFIGS = [
+    (engine, track_paths, sink)
+    for engine in (None, _InlineStub, _HooksStub)
+    for track_paths in (False, True)
+    for sink in (None, "address", "frozen")
+]
+
+
+def _drain_heap(n_objects, edges, array_refs, header_bits, roots):
+    """A heap of ``G`` objects, one ``G[]`` and one ``int[]``; returns the
+    VM, the object addresses (the arrays last) and the root entries."""
+    vm = VirtualMachine(heap_bytes=1 << 20, assertions=False, telemetry=False)
+    cls = _graph_class(vm)
+    cls.instance_limit = 1 << 20
+    allocate = vm.collector.allocate
+    objects = [allocate(cls) for _ in range(n_objects)]
+    refs = allocate(vm.array_class(cls), len(array_refs))
+    ints = allocate(vm.array_class(FieldKind.INT), 2)
+    objects += [refs, ints]
+    for src, field, dst in edges:
+        objects[src].slots[field] = objects[dst].address
+    refs.slots[:] = [objects[i].address if i is not None else NULL for i in array_refs]
+    objects[0].slots[0] = refs.address
+    objects[1 % n_objects].slots[1] = ints.address
+    for i, bits in header_bits:
+        objects[i].status |= bits
+    addresses = [obj.address for obj in objects]
+    return vm, addresses, [(f"root{i}", addresses[i]) for i in roots]
+
+
+def _run_drain(vm, roots, engine_cls, track_paths, sink_kind):
+    """One trace under one configuration; returns everything it observed."""
+    for obj in vm.heap:
+        obj.status &= ~hdr.MARK_BIT
+        obj.cls.instance_count = 0
+    engine = engine_cls() if engine_cls is not None else None
+    sink = None
+    if sink_kind is not None:
+        sink = SnapshotSink("unused", heap=vm.heap, moving=sink_kind == "frozen")
+    stats = GcStats()
+    Tracer(vm.heap, stats, engine, track_paths=track_paths, snapshot=sink).trace(roots)
+    rows = None
+    if sink is not None:
+        rows = [
+            (row[0], row[2], row[3]) if sink.moving else row for row in sink.rows
+        ]
+    return {
+        "marked": sorted(o.address for o in vm.heap if o.status & hdr.MARK_BIT),
+        "stats": stats,
+        "calls": engine.calls if engine is not None else None,
+        "rows": rows,
+    }
+
+
+@given(
+    n_objects=st.integers(2, N_OBJECTS),
+    edges=edge_strategy,
+    array_refs=st.lists(st.one_of(st.none(), st.integers(0, N_OBJECTS - 1)), max_size=3),
+    header_bits=st.lists(
+        st.tuples(
+            st.integers(0, N_OBJECTS - 1),
+            st.sampled_from([hdr.DEAD_BIT, hdr.OWNEE_BIT, hdr.UNSHARED_BIT]),
+        ),
+        max_size=4,
+    ),
+    roots=st.lists(st.integers(0, N_OBJECTS - 1), min_size=1, max_size=3),
+)
+# A diamond with a flagged tip on each side: a first encounter of a dead
+# object and a repeat encounter of an unshared one, both in the drain.
+@example(
+    n_objects=4,
+    edges=[(0, 0, 1), (0, 1, 2), (1, 1, 3), (2, 0, 3)],
+    array_refs=[],
+    header_bits=[(2, hdr.DEAD_BIT), (3, hdr.UNSHARED_BIT)],
+    roots=[0],
+)
+@settings(
+    max_examples=40,
+    deadline=None,
+    report_multiple_bugs=False,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_every_drain_does_the_same_work(n_objects, edges, array_refs, header_bits, roots):
+    """Random heaps through all 18 (engine none / inline / hooks) x (paths
+    on / off) x (no sink / address sink / frozen sink) drains: the same
+    marked set and work counters as the plain drain and a reference walk,
+    tags exactly when tracking, the same engine calls (paths included) as
+    the sink-free path-tracking drain of that engine, slow hooks exactly
+    where header bits show assertion work, and the same snapshot rows per
+    sink kind."""
+    edges = [(s % n_objects, f, d % n_objects) for s, f, d in edges]
+    array_refs = [i % n_objects if i is not None else None for i in array_refs]
+    header_bits = [(i % n_objects, bits) for i, bits in header_bits]
+    roots = [i % n_objects for i in roots]
+    vm, addresses, root_entries = _drain_heap(
+        n_objects, edges, array_refs, header_bits, roots
+    )
+    runs = {
+        config: _run_drain(vm, root_entries, *config) for config in DRAIN_CONFIGS
+    }
+    plain = runs[(None, False, None)]
+    # The reference reachability, done the obvious way.
+    by_address = {obj.address: obj for obj in vm.heap}
+    seen, todo = set(), [addresses[i] for i in roots]
+    while todo:
+        address = todo.pop()
+        if address in seen:
+            continue
+        seen.add(address)
+        obj = by_address[address]
+        todo.extend(c for c in obj.reference_slots() if c != NULL)
+    assert plain["marked"] == sorted(seen)
+    objects = plain["stats"].objects_traced
+    assert objects == len(seen)
+    root_addresses = {addresses[i] for i in roots}
+    counted = sum(
+        1
+        for address in seen - root_addresses
+        if by_address[address].cls.instance_limit is not None
+    )
+
+    for (engine, track_paths, sink), run in runs.items():
+        stats = run["stats"]
+        label = (getattr(engine, "__name__", None), track_paths, sink)
+        assert run["marked"] == plain["marked"], label
+        assert stats.objects_traced == objects, label
+        assert stats.edges_traced == plain["stats"].edges_traced, label
+        assert stats.path_entries_tagged == (objects if track_paths else 0), label
+        inline = engine is _InlineStub
+        # One header check per traced edge, one instance count per object
+        # marked by the drain (the root scan goes through the full hooks).
+        assert stats.header_bit_checks == (stats.edges_traced if inline else 0), label
+        assert stats.instance_count_increments == (counted if inline else 0), label
+        if engine is not None:
+            fused = runs[(engine, True, None)]["calls"]
+            if track_paths:
+                assert run["calls"] == fused, label
+            else:
+                assert [c[:3] for c in run["calls"]] == [c[:3] for c in fused], label
+                assert all(c[3] == [c[1]] for c in run["calls"]), label
+        if sink is not None:
+            reference = runs[(None, True, sink)]["rows"]
+            assert run["rows"] == reference, label
+            assert sorted(row[0] if sink == "frozen" else row for row in run["rows"]) == (
+                plain["marked"]
+            ), label
+
+    # The slow hooks ran for exactly the header bits that show assertion work.
+    slow = runs[(_InlineStub, True, None)]["calls"]
+    first_slow = {c[1] for c in slow if c[0] == "first-slow"}
+    flagged = {
+        addresses[i] for i, bits in header_bits if bits in (hdr.DEAD_BIT, hdr.OWNEE_BIT)
+    }
+    assert first_slow == (flagged & seen) - root_addresses
+    # Every traced edge into an unshared object is a repeat encounter, except
+    # the one that first marks it (none for a root).
+    unshared = {addresses[i] for i, bits in header_bits if bits == hdr.UNSHARED_BIT}
+    expected_repeats = Counter()
+    for address in seen:
+        for child in by_address[address].reference_slots():
+            if child in unshared:
+                expected_repeats[child] += 1
+    for address in unshared & seen - root_addresses:
+        expected_repeats[address] -= 1
+    repeat_slow = Counter(c[1] for c in slow if c[0] == "repeat-slow")
+    assert repeat_slow == +expected_repeats
+    # A hooks engine hears of every encounter: each reachable object once
+    # as a first, every other root-scan or traced reference as a repeat.
+    # Its drain calls that carry assertion work are the inline slow calls.
+    hooks = runs[(_HooksStub, True, None)]["calls"]
+    assert Counter(c[1] for c in hooks if c[0] == "first") == Counter(seen)
+    repeats = sum(1 for c in hooks if c[0] == "repeat")
+    assert repeats == len(roots) + plain["stats"].edges_traced - objects
+    assert [c for c in slow if c[0].endswith("-slow")] == [
+        (c[0] + "-slow", *c[1:])
+        for c in hooks
+        if c[2] is not None and c[1] in (flagged if c[0] == "first" else unshared)
+    ]
+    # A frozen row keeps the object's reference children as of mark time,
+    # even once the mutator overwrites them (array rows copy the slots).
+    children_then = {a: list(by_address[a].reference_slots()) for a in seen}
+    for obj in vm.heap:
+        if obj.cls.is_array:
+            obj.slots[:] = [NULL] * len(obj.slots)
+    for address, _seq, children in runs[(None, True, "frozen")]["rows"]:
+        assert (children or []) == children_then[address]
